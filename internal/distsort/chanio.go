@@ -98,6 +98,18 @@ func (r *chanReader[T]) ReadBatch(dst []T) (int, error) {
 	return n, nil
 }
 
+// discard consumes the rest of the feed until the partition loop closes it.
+func (r *chanReader[T]) discard() error {
+	for {
+		if err := r.next(); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
 // chanWriter adapts a shard's output channel to the stream protocol,
 // buffering elements into owned batches so the drain can consume them
 // without copying.

@@ -251,6 +251,16 @@ func runShard[T any](i int, feed <-chan []T, out chan<- []T, fs vfs.FS, scfg ext
 	sp := tr.StartOn("shard_sort", fmt.Sprintf("shard %02d", i), obs.Int("shard", int64(i)))
 	in := &chanReader[T]{ch: feed, done: fail.done}
 	rset, err := extsort.GenerateRuns(in, fs, scfg, ops)
+	if err == nil {
+		// A shard resuming from a committed manifest adopts its runs
+		// without reading its feed, but the partition loop still routes
+		// the shard's share and the drain starts only after it: consume
+		// the rest of the feed, or a full feed and a full output channel
+		// deadlock the sort.
+		if err = in.discard(); err != nil && !scfg.Manifest {
+			rset.Discard()
+		}
+	}
 	if err != nil {
 		close(out)
 		fail.fail(fmt.Errorf("distsort: shard %d: %w", i, err))

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/extsort"
 	"repro/internal/gen"
+	"repro/internal/manifest"
 	"repro/internal/manifest/crashfs"
 	"repro/internal/policy"
 	"repro/internal/record"
@@ -106,6 +107,51 @@ func TestShardedResumeCrashMatrix(t *testing.T) {
 	}
 	if recoveredTotal == 0 {
 		t.Fatal("no kill point led to recovered manifest runs; matrix never exercised shard reuse")
+	}
+}
+
+// noRemoveFS refuses every removal, so a durable sharded sort fails in the
+// merge phase of the first shard to get there, after that shard committed
+// its manifest, with all of its runs still in place.
+type noRemoveFS struct{ vfs.FS }
+
+func (noRemoveFS) Remove(string) error { return crashfs.ErrCrashed }
+
+// TestShardedResumeCommittedShard resumes a sharded sort in which at least
+// one shard committed. That shard adopts its runs without reading its
+// feed, while the partition loop still routes the shard's share of the
+// input. Every shard holds several feed and output channels' worth of
+// records, so a shard that left its feed unread would block the partition
+// loop while its own output blocked on the drain, which starts only after
+// the loop.
+func TestShardedResumeCommittedShard(t *testing.T) {
+	const shards, memory, n = 2, 512, 40000
+	vals := recordDataset(gen.Random, n)
+	cfg := durableShardedCfg(shards, memory)
+	want, _ := runSharded(t, vals, cfg, recOps())
+
+	fs := vfs.NewMemFS()
+	var sink stream.SliceWriter[record.Record]
+	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &sink, noRemoveFS{fs}, cfg, recOps()); !errors.Is(err, crashfs.ErrCrashed) {
+		t.Fatalf("first pass: err = %v, want the refused removal", err)
+	}
+	committed := 0
+	for i := 0; i < shards; i++ {
+		if ms, err := manifest.Load(fs, manifest.Name(fmt.Sprintf("sort-s%02d", i))); err == nil && ms.Committed {
+			committed++
+		}
+	}
+	if committed == 0 {
+		t.Fatal("no shard committed its manifest; the test exercises nothing")
+	}
+	rcfg := cfg
+	rcfg.Extsort.Resume = true
+	var res stream.SliceWriter[record.Record]
+	if _, err := Sort[record.Record](stream.NewSliceReader(vals), &res, fs, rcfg, recOps()); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if !slices.Equal(res.Vals, want) {
+		t.Fatal("resumed output differs from the uninterrupted sort")
 	}
 }
 

@@ -237,8 +237,6 @@ type Config struct {
 	// favour of Config.Memory. Zero value means the recommended §5.3
 	// configuration.
 	TWRS core.Config
-	// Engine selects the k-way merge implementation.
-	Engine merge.Engine
 	// PageSize and PagesPerFile configure run storage (0: defaults).
 	PageSize     int
 	PagesPerFile int
@@ -629,7 +627,6 @@ func (r *RunSet[T]) mergeConfig() merge.Config {
 	mc := merge.Config{
 		FanIn:       r.cfg.FanIn,
 		MemoryBytes: r.cfg.Memory * r.ops.elementBytes(),
-		Engine:      r.cfg.Engine,
 		Workers:     r.cfg.Parallelism,
 		Cancel:      r.cfg.Cancel,
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/iosim"
-	"repro/internal/merge"
 	"repro/internal/record"
 	"repro/internal/vfs"
 )
@@ -54,13 +53,6 @@ func TestSortSmallFanIn(t *testing.T) {
 		t.Fatalf("fan-in 2 over %d inputs should take several passes, got %d",
 			stats.MergeInputs, stats.MergePasses)
 	}
-}
-
-func TestSortHeapEngine(t *testing.T) {
-	recs := gen.Generate(gen.Config{Kind: gen.Random, N: 5000, Seed: 2})
-	cfg := Recommended(100)
-	cfg.Engine = merge.EngineHeap
-	sortAndCheck(t, recs, cfg)
 }
 
 func TestSortEmptyInput(t *testing.T) {

@@ -648,9 +648,13 @@ func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*Ru
 	if st.Committed && valid == len(st.Runs) {
 		// Generation had finished and every run survived: adopt the whole
 		// set without reading the input at all. A crash after commit can
-		// still leave half-written merge scratch behind, so sweep spill
-		// files the manifest does not reference before adopting.
+		// still leave behind half-written merge scratch and the carry
+		// snapshots a finished generation no longer needs, so sweep every
+		// spill file but the runs' own before adopting.
 		ref := referencedNames(st.Runs)
+		for _, mr := range st.Runs {
+			delete(ref, mr.CarryName)
+		}
 		names, err := rset.store.Names()
 		if err != nil {
 			return rset.abortSetup(err)

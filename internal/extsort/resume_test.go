@@ -179,6 +179,47 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 	}
 }
 
+// keepCarriesFS fails every removal of a carry snapshot, as the file
+// system of a process that died right after committing its manifest does.
+type keepCarriesFS struct{ vfs.FS }
+
+func (f keepCarriesFS) Remove(name string) error {
+	if strings.Contains(name, "carry") {
+		return crashfs.ErrCrashed
+	}
+	return f.FS.Remove(name)
+}
+
+// TestResumeCommittedSweepsStaleCarries stops a durable sort between its
+// manifest commit and the removal of its carry snapshots — the window a
+// concurrent shard's crash lands in — and resumes: the committed run set
+// is adopted, and once it is merged no file may be left behind.
+func TestResumeCommittedSweepsStaleCarries(t *testing.T) {
+	recs := testRecords(1500, 1)
+	cfg := durableCfg(64)
+	want, _ := durableBaseline(t, recs, cfg, RecordOps())
+	fs := vfs.NewMemFS()
+	if _, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), keepCarriesFS{fs}, cfg, RecordOps()); err != nil {
+		t.Fatalf("crashed pass: %v", err)
+	}
+	names, _ := fs.Names()
+	if !slices.ContainsFunc(names, func(n string) bool { return strings.Contains(n, "carry") }) {
+		t.Fatal("the crashed pass left no carry snapshot; the test exercises nothing")
+	}
+	rcfg := cfg
+	rcfg.Resume = true
+	rset, err := GenerateRuns[record.Record](stream.NewSliceReader(recs), fs, rcfg, RecordOps())
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got, _ := mergeToSlice(t, rset); !slices.Equal(got, want) {
+		t.Fatal("resumed output differs from the uninterrupted sort")
+	}
+	if names, _ := fs.Names(); len(names) != 0 {
+		t.Fatalf("leftover files after resume: %v", names)
+	}
+}
+
 // TestResumeCrashMatrix sweeps seeded crash points — including torn writes
 // — across storage backends, codec widths and keyed/comparator modes, with
 // the crash free to land mid-run-file or mid-manifest-append. Every

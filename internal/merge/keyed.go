@@ -1,24 +1,19 @@
 package merge
 
-import (
-	"io"
+import "repro/internal/codec"
 
-	"repro/internal/codec"
-	"repro/internal/stream"
-)
-
-// Keyed merge engines. When the emitter carries a KeyCodec the loser tree
-// stops calling the comparator on every match and compares normalized key
-// bytes instead, in one of two forms (DESIGN.md §12):
+// Keyed match strategies. When the emitter carries a KeyCodec the loser
+// tree stops calling the comparator on every match and compares normalized
+// key bytes instead, in one of two forms (DESIGN.md §12):
 //
-//   - prefixTree, for complete keys of at most 8 bytes: each source caches
+//   - prefixKeys, for complete keys of at most 8 bytes: each source caches
 //     its head's key as one uint64 (codec.Prefix). Prefix equality is key
 //     equality, so every match is exactly one integer compare — the merge
 //     is comparator-free.
 //
-//   - ovcTree, for variable-width or longer keys: offset-value coding.
+//   - ovcKeys, for variable-width or longer keys: offset-value coding.
 //     Each source carries its head's full key bytes (re-derived from the
-//     decoded element on advance — the cheap side of the spill boundary:
+//     decoded element on load — the cheap side of the spill boundary:
 //     keys need not be stored in the run files) plus an OVC code: the
 //     offset of the first byte where the key departs from a reference key
 //     it is known to be ≥, and the value of that byte. Two codes relative
@@ -26,185 +21,48 @@ import (
 //     equal codes (keys that agree through the decisive byte) scan further,
 //     and that scan yields the loser's refreshed code for free.
 //
-// Every decision either engine makes is pointwise equal to the comparator
-// engine's less(a, b) — strictly ordered pairs by the key-order contract,
+// Every decision either strategy makes is pointwise equal to the comparator
+// strategy's less(a, b) — strictly ordered pairs by the key-order contract,
 // ties by both returning false — so the merged output is byte-identical to
 // the comparator path's at every setting.
 
-// prefixTree is the loser tree over sources whose keys fit the cached
-// uint64 prefix entirely (FixedKeySize in 1..8).
-type prefixTree[T any] struct {
-	lv  *leaves[T]
+// prefixKeys is the strategy for keys that fit the cached uint64 prefix
+// entirely (FixedKeySize in 1..8).
+type prefixKeys[T any] struct {
 	pfx func(T) uint64
-	cur []T
 	// key[i] is source i's head key; exhausted sources hold the sentinel
 	// ^0 so the replay loop's compare needs no exhaustion check on the
 	// (overwhelmingly common) unequal-key path.
 	key []uint64
 	// done marks exhausted sources; they order after everything.
-	done    []bool
-	tree    []int
-	k       int
-	closed  bool
-	pendErr error // error deferred by ReadBatch after a partial batch
+	done []bool
 }
 
-// newPrefixTree builds a prefix-keyed loser tree over the sources, priming
-// each one.
-func newPrefixTree[T any](srcs []Source[T], pfx func(T) uint64) (*prefixTree[T], error) {
-	k := len(srcs)
-	t := &prefixTree[T]{
-		lv:   newLeaves(srcs),
-		pfx:  pfx,
-		cur:  make([]T, k),
-		key:  make([]uint64, k),
-		done: make([]bool, k),
-		tree: make([]int, k),
-		k:    k,
-	}
-	for i := range srcs {
-		if err := t.advance(i); err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	t.build()
-	return t, nil
+func byPrefix[T any](pfx func(T) uint64, k int) prefixKeys[T] {
+	return prefixKeys[T]{pfx: pfx, key: make([]uint64, k), done: make([]bool, k)}
 }
 
-func (t *prefixTree[T]) advance(i int) error {
-	rec, ok, err := t.lv.next(i)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		t.done[i] = true
-		t.key[i] = ^uint64(0)
-		return nil
-	}
-	t.cur[i] = rec
-	t.key[i] = t.pfx(rec)
-	return nil
+func (p *prefixKeys[T]) load(i int, v T) { p.key[i] = p.pfx(v) }
+
+func (p *prefixKeys[T]) exhaust(i int) {
+	p.done[i] = true
+	p.key[i] = ^uint64(0)
 }
 
-// less reports whether source a's head orders strictly before source b's:
-// one integer compare on the unequal path. Exhaustion is resolved only on
-// key ties (an exhausted source holds the sentinel ^0, so it can only tie
-// with another exhausted source or a live maximal key): the decisions are
-// exactly the comparator tree's — exhausted sources order last, live ties
-// order false both ways.
-func (t *prefixTree[T]) less(a, b int) bool {
-	ka, kb := t.key[a], t.key[b]
+// less is one integer compare on the unequal path. Exhaustion is resolved
+// only on key ties (an exhausted source holds the sentinel ^0, so it can
+// only tie with another exhausted source or a live maximal key): the
+// decisions are exactly the comparator's — exhausted sources order last,
+// live ties order false both ways.
+func (p *prefixKeys[T]) less(a, b int) bool {
+	ka, kb := p.key[a], p.key[b]
 	if ka != kb {
 		return ka < kb
 	}
-	if t.done[a] {
+	if p.done[a] {
 		return false
 	}
-	return t.done[b]
-}
-
-func (t *prefixTree[T]) build() {
-	if t.k == 0 {
-		return
-	}
-	winner := make([]int, 2*t.k)
-	for j := t.k; j < 2*t.k; j++ {
-		winner[j] = j - t.k
-	}
-	for j := t.k - 1; j >= 1; j-- {
-		a, b := winner[2*j], winner[2*j+1]
-		if t.less(a, b) {
-			winner[j] = a
-			t.tree[j] = b
-		} else {
-			winner[j] = b
-			t.tree[j] = a
-		}
-	}
-	t.tree[0] = winner[1]
-}
-
-// Read returns the next element in global sorted order, or io.EOF once all
-// sources are exhausted.
-func (t *prefixTree[T]) Read() (T, error) {
-	var zero T
-	if t.closed {
-		return zero, stream.ErrClosed
-	}
-	if t.k == 0 {
-		return zero, io.EOF
-	}
-	w := t.tree[0]
-	if t.done[w] {
-		return zero, io.EOF
-	}
-	rec := t.cur[w]
-	if err := t.advance(w); err != nil {
-		return zero, err
-	}
-	j := (w + t.k) / 2
-	for j >= 1 {
-		if t.less(t.tree[j], w) {
-			t.tree[j], w = w, t.tree[j]
-		}
-		j /= 2
-	}
-	t.tree[0] = w
-	return rec, nil
-}
-
-// ReadBatch fills dst per the stream.BatchReader contract, with the replay
-// loop inlined so no per-element interface dispatch is paid.
-func (t *prefixTree[T]) ReadBatch(dst []T) (int, error) {
-	if t.closed {
-		return 0, stream.ErrClosed
-	}
-	if t.pendErr != nil {
-		err := t.pendErr
-		t.pendErr = nil
-		return 0, err
-	}
-	if t.k == 0 {
-		return 0, io.EOF
-	}
-	n := 0
-	for n < len(dst) {
-		w := t.tree[0]
-		if t.done[w] {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
-		}
-		dst[n] = t.cur[w]
-		n++
-		if err := t.advance(w); err != nil {
-			if n > 0 {
-				t.pendErr = err
-				return n, nil
-			}
-			return 0, err
-		}
-		j := (w + t.k) / 2
-		for j >= 1 {
-			if t.less(t.tree[j], w) {
-				t.tree[j], w = w, t.tree[j]
-			}
-			j /= 2
-		}
-		t.tree[0] = w
-	}
-	return n, nil
-}
-
-// Close closes every source.
-func (t *prefixTree[T]) Close() error {
-	if t.closed {
-		return stream.ErrClosed
-	}
-	t.closed = true
-	return t.lv.closeAll()
+	return p.done[b]
 }
 
 // ovcCap bounds the offsets offset-value codes can express. Keys whose
@@ -232,144 +90,115 @@ func ovcCode(off int, val uint64) uint64 {
 	return uint64(ovcCap-off)<<9 | val
 }
 
-// ovcTree is the loser tree with offset-value coding for variable-width or
+// ovcKeys is the offset-value-coding strategy for variable-width or
 // longer-than-prefix keys.
-type ovcTree[T any] struct {
-	lv *leaves[T]
+type ovcKeys[T any] struct {
 	kc codec.KeyCodec[T]
-	// Per-source head state: the element, its full normalized key, and a
-	// spare buffer so advance can re-derive the new key while the previous
-	// one (the code's reference) is still readable.
-	cur   []T
+	// Per-source head state: its full normalized key, and a spare buffer
+	// so load can re-derive the new key while the previous one (the code's
+	// reference) is still readable.
 	key   [][]byte
 	spare [][]byte
 	done  []bool
-	// OVC state. code[i] is cur[i]'s code relative to the element whose id
-	// is ref[i]; ids are handed out per loaded element, and 0 marks "no
-	// valid code" (full compare required). Codes are only compared when
-	// their refs match — the guard that keeps interleaved ascents correct.
+	// OVC state. code[i] is source i's head code relative to the element
+	// whose id is ref[i]; ids are handed out per loaded element, and 0
+	// marks "no valid code" (full compare required). Codes are only
+	// compared when their refs match — the guard that keeps interleaved
+	// ascents correct.
 	code []uint64
 	ref  []uint64
 	id   []uint64
 	next uint64
-	tree []int
-	k    int
 	// fastPath / fullCmp count decided matches for tests and benchmarks.
 	fastPath int64
 	fullCmp  int64
-	closed   bool
-	pendErr  error
 }
 
-// newOVCTree builds an offset-value-coded loser tree over the sources.
-func newOVCTree[T any](srcs []Source[T], kc codec.KeyCodec[T]) (*ovcTree[T], error) {
-	k := len(srcs)
-	t := &ovcTree[T]{
-		lv:    newLeaves(srcs),
+func byOVC[T any](kc codec.KeyCodec[T], k int) ovcKeys[T] {
+	return ovcKeys[T]{
 		kc:    kc,
-		cur:   make([]T, k),
 		key:   make([][]byte, k),
 		spare: make([][]byte, k),
 		done:  make([]bool, k),
 		code:  make([]uint64, k),
 		ref:   make([]uint64, k),
 		id:    make([]uint64, k),
-		tree:  make([]int, k),
-		k:     k,
 	}
-	for i := range srcs {
-		if err := t.advance(i); err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	t.build()
-	return t, nil
 }
 
-// advance loads source i's next element and re-derives its key bytes — the
-// spill boundary ships only elements; keys are recomputed here, which is
-// one AppendKey per record. The new head's code is seeded relative to the
-// element it replaces: a run is sorted, so the predecessor (just output)
-// is a valid reference.
-func (t *ovcTree[T]) advance(i int) error {
-	rec, ok, err := t.lv.next(i)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		t.done[i] = true
-		return nil
-	}
-	prevKey, prevID := t.key[i], t.id[i]
-	newKey := t.kc.AppendKey(t.spare[i][:0], rec)
-	t.spare[i] = prevKey
-	t.key[i] = newKey
-	t.cur[i] = rec
-	t.next++
-	t.id[i] = t.next
+// load re-derives the new head's key bytes — the spill boundary ships only
+// elements; keys are recomputed here, which is one AppendKey per record.
+// The new head's code is seeded relative to the element it replaces: a run
+// is sorted, so the predecessor (just output) is a valid reference.
+func (o *ovcKeys[T]) load(i int, v T) {
+	prevKey, prevID := o.key[i], o.id[i]
+	newKey := o.kc.AppendKey(o.spare[i][:0], v)
+	o.spare[i] = prevKey
+	o.key[i] = newKey
+	o.next++
+	o.id[i] = o.next
 	if prevID != 0 {
 		off := codec.FirstDiff(newKey, prevKey)
 		if off < ovcCap {
-			t.code[i] = ovcCode(off, ovcByteAt(newKey, off))
-			t.ref[i] = prevID
-			return nil
+			o.code[i] = ovcCode(off, ovcByteAt(newKey, off))
+			o.ref[i] = prevID
+			return
 		}
 	}
-	t.ref[i] = 0
-	return nil
+	o.ref[i] = 0
 }
 
-// beats reports whether source a's head orders strictly before source b's
-// — the decision is identical to the comparator engine's less(a, b) — and
-// refreshes the loser's code relative to the winner, which keeps codes on
-// a replay path comparable in one integer operation.
-func (t *ovcTree[T]) beats(a, b int) bool {
-	if t.done[a] {
+func (o *ovcKeys[T]) exhaust(i int) { o.done[i] = true }
+
+// less decides the match and refreshes the loser's code relative to the
+// winner, which keeps codes on a replay path comparable in one integer
+// operation.
+func (o *ovcKeys[T]) less(a, b int) bool {
+	if o.done[a] {
 		return false
 	}
-	if t.done[b] {
+	if o.done[b] {
 		return true
 	}
-	if t.ref[a] != 0 && t.ref[a] == t.ref[b] {
-		ca, cb := t.code[a], t.code[b]
+	if o.ref[a] != 0 && o.ref[a] == o.ref[b] {
+		ca, cb := o.code[a], o.code[b]
 		if ca != cb {
 			// Both codes are relative to the same reference r with r ≤ both
 			// keys, so the code order is the key order. The loser's code is
 			// also its code relative to the winner's key (the winner agrees
 			// with r through the loser's decisive byte), so re-tagging the
 			// loser against the winner costs nothing.
-			t.fastPath++
+			o.fastPath++
 			if ca < cb {
-				t.ref[b] = t.id[a]
+				o.ref[b] = o.id[a]
 				return true
 			}
-			t.ref[a] = t.id[b]
+			o.ref[a] = o.id[b]
 			return false
 		}
 		// Equal codes: both keys depart from the reference at the same
 		// offset with the same byte. If that byte is the terminator the
-		// keys are equal — a tie, and the comparator engine would return
-		// false here too. Otherwise scan on from the next byte; the scan's
-		// result is exactly the loser's new code relative to the winner.
+		// keys are equal — a tie, and the comparator would return false
+		// here too. Otherwise scan on from the next byte; the scan's result
+		// is exactly the loser's new code relative to the winner.
 		off := ovcCap - int(ca>>9)
 		if ca&0x1ff == 0 {
-			t.ref[a] = t.id[b]
+			o.ref[a] = o.id[b]
 			return false
 		}
-		return t.settle(a, b, off+1)
+		return o.settle(a, b, off+1)
 	}
 	// References differ (or are invalid): one full key compare, which also
 	// realigns the loser's code to the winner for the matches above.
-	t.fullCmp++
-	return t.settle(a, b, 0)
+	o.fullCmp++
+	return o.settle(a, b, 0)
 }
 
 // settle decides a match by scanning the two keys from `from` (they are
 // known equal before it), tags the loser with its code relative to the
 // winner, and reports whether a strictly precedes b.
-func (t *ovcTree[T]) settle(a, b int, from int) bool {
-	ka, kb := t.key[a], t.key[b]
+func (o *ovcKeys[T]) settle(a, b int, from int) bool {
+	ka, kb := o.key[a], o.key[b]
 	var off int
 	if from >= len(ka) || from >= len(kb) {
 		off = len(ka)
@@ -382,129 +211,26 @@ func (t *ovcTree[T]) settle(a, b int, from int) bool {
 	va, vb := ovcByteAt(ka, off), ovcByteAt(kb, off)
 	switch {
 	case va < vb:
-		t.tag(b, a, off, vb)
+		o.tag(b, a, off, vb)
 		return true
 	case vb < va:
-		t.tag(a, b, off, va)
+		o.tag(a, b, off, va)
 		return false
 	default:
 		// Keys equal: a tie. Tag a against b so future matches on this
 		// path stay on the fast path.
-		t.tag(a, b, off, va)
+		o.tag(a, b, off, va)
 		return false
 	}
 }
 
 // tag records loser's code relative to winner: they first differ at off,
 // where the loser's byte is val.
-func (t *ovcTree[T]) tag(loser, winner, off int, val uint64) {
+func (o *ovcKeys[T]) tag(loser, winner, off int, val uint64) {
 	if off < ovcCap {
-		t.code[loser] = ovcCode(off, val)
-		t.ref[loser] = t.id[winner]
+		o.code[loser] = ovcCode(off, val)
+		o.ref[loser] = o.id[winner]
 	} else {
-		t.ref[loser] = 0
+		o.ref[loser] = 0
 	}
-}
-
-func (t *ovcTree[T]) build() {
-	if t.k == 0 {
-		return
-	}
-	winner := make([]int, 2*t.k)
-	for j := t.k; j < 2*t.k; j++ {
-		winner[j] = j - t.k
-	}
-	for j := t.k - 1; j >= 1; j-- {
-		a, b := winner[2*j], winner[2*j+1]
-		if t.beats(a, b) {
-			winner[j] = a
-			t.tree[j] = b
-		} else {
-			winner[j] = b
-			t.tree[j] = a
-		}
-	}
-	t.tree[0] = winner[1]
-}
-
-// Read returns the next element in global sorted order, or io.EOF once all
-// sources are exhausted.
-func (t *ovcTree[T]) Read() (T, error) {
-	var zero T
-	if t.closed {
-		return zero, stream.ErrClosed
-	}
-	if t.k == 0 {
-		return zero, io.EOF
-	}
-	w := t.tree[0]
-	if t.done[w] {
-		return zero, io.EOF
-	}
-	rec := t.cur[w]
-	if err := t.advance(w); err != nil {
-		return zero, err
-	}
-	j := (w + t.k) / 2
-	for j >= 1 {
-		if t.beats(t.tree[j], w) {
-			t.tree[j], w = w, t.tree[j]
-		}
-		j /= 2
-	}
-	t.tree[0] = w
-	return rec, nil
-}
-
-// ReadBatch fills dst per the stream.BatchReader contract, with the replay
-// loop inlined so no per-element interface dispatch is paid.
-func (t *ovcTree[T]) ReadBatch(dst []T) (int, error) {
-	if t.closed {
-		return 0, stream.ErrClosed
-	}
-	if t.pendErr != nil {
-		err := t.pendErr
-		t.pendErr = nil
-		return 0, err
-	}
-	if t.k == 0 {
-		return 0, io.EOF
-	}
-	n := 0
-	for n < len(dst) {
-		w := t.tree[0]
-		if t.done[w] {
-			if n > 0 {
-				return n, nil
-			}
-			return 0, io.EOF
-		}
-		dst[n] = t.cur[w]
-		n++
-		if err := t.advance(w); err != nil {
-			if n > 0 {
-				t.pendErr = err
-				return n, nil
-			}
-			return 0, err
-		}
-		j := (w + t.k) / 2
-		for j >= 1 {
-			if t.beats(t.tree[j], w) {
-				t.tree[j], w = w, t.tree[j]
-			}
-			j /= 2
-		}
-		t.tree[0] = w
-	}
-	return n, nil
-}
-
-// Close closes every source.
-func (t *ovcTree[T]) Close() error {
-	if t.closed {
-		return stream.ErrClosed
-	}
-	t.closed = true
-	return t.lv.closeAll()
 }

@@ -1,8 +1,11 @@
 package merge
 
 import (
+	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -27,9 +30,23 @@ func genSrcOf[T any](vals []T) *genSource[T] {
 	return &genSource[T]{SliceReader: stream.NewSliceReader(vals)}
 }
 
+// lessTree, prefixTree and ovcTree open the loser tree with the comparator,
+// prefix and offset-value-coding match strategies.
+func lessTree[T any](srcs []Source[T], less func(a, b T) bool) (*loserTree[T, lessKeys[T], *lessKeys[T]], error) {
+	return newLoserTree(srcs, byLess(less, len(srcs)))
+}
+
+func prefixTree[T any](srcs []Source[T], kc codec.KeyCodec[T]) (*loserTree[T, prefixKeys[T], *prefixKeys[T]], error) {
+	return newLoserTree(srcs, byPrefix(codec.PrefixFunc(kc), len(srcs)))
+}
+
+func ovcTree[T any](srcs []Source[T], kc codec.KeyCodec[T]) (*loserTree[T, ovcKeys[T], *ovcKeys[T]], error) {
+	return newLoserTree(srcs, byOVC(kc, len(srcs)))
+}
+
 // buildRecordSources produces k sorted record runs with heavy key
 // duplication and distinguishable Aux payloads, so sequence equality
-// between engines checks tie placement, not just key order.
+// between strategies checks tie placement, not just key order.
 func buildRecordSources(seed int64, k int) func() []Source[record.Record] {
 	return func() []Source[record.Record] {
 		rng := rand.New(rand.NewSource(seed))
@@ -64,23 +81,23 @@ func drainAll[T any](t *testing.T, s Source[T]) []T {
 	}
 }
 
-// TestPrefixTreeMatchesLoserTree pins the fixed-width keyed engine against
-// the comparator loser tree on duplicate-heavy record runs: the output
-// sequences must be identical element-for-element (Aux included), i.e. the
-// engines make pointwise-equal winner decisions.
+// TestPrefixTreeMatchesLoserTree pins the loser tree's prefix strategy
+// against its comparator strategy on duplicate-heavy record runs: the
+// output sequences must be identical element-for-element (Aux included),
+// i.e. the strategies make pointwise-equal winner decisions.
 func TestPrefixTreeMatchesLoserTree(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		k := 1 + int(trial%9)
 		build := buildRecordSources(trial, k)
 
-		lt, err := NewLoserTree(build(), record.Less)
+		lt, err := lessTree(build(), record.Less)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := drainAll(t, lt)
 		lt.Close()
 
-		pt, err := newPrefixTree(build(), codec.PrefixFunc[record.Record](codec.KeyRecord16{}))
+		pt, err := prefixTree[record.Record](build(), codec.KeyRecord16{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,8 +116,8 @@ func TestPrefixTreeMatchesLoserTree(t *testing.T) {
 	}
 }
 
-// TestOVCTreeMatchesLoserTree pins the offset-value-coded engine against
-// the comparator loser tree on variable-length string runs built to stress
+// TestOVCTreeMatchesLoserTree pins the offset-value-coding strategy against
+// the comparator strategy on variable-length string runs built to stress
 // both OVC paths: long shared prefixes (fast-path re-tags) and duplicate
 // keys across sources (equal-code ties).
 func TestOVCTreeMatchesLoserTree(t *testing.T) {
@@ -130,14 +147,14 @@ func TestOVCTreeMatchesLoserTree(t *testing.T) {
 		}
 
 		less := func(a, b string) bool { return a < b }
-		lt, err := NewLoserTree(build(), less)
+		lt, err := lessTree(build(), less)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := drainAll(t, lt)
 		lt.Close()
 
-		ot, err := newOVCTree[string](build(), codec.KeyString{})
+		ot, err := ovcTree[string](build(), codec.KeyString{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +167,7 @@ func TestOVCTreeMatchesLoserTree(t *testing.T) {
 				t.Fatalf("trial %d: element %d = %q, want %q", trial, i, got[i], want[i])
 			}
 		}
-		totalFast += ot.fastPath
+		totalFast += ot.keys.fastPath
 		ot.Close()
 	}
 	// A single-source trial has no matches at all, but across twenty trials
@@ -160,9 +177,9 @@ func TestOVCTreeMatchesLoserTree(t *testing.T) {
 	}
 }
 
-// TestOVCTreeLongKeysVsFixedEngine runs the OVC engine on a keyspace where
+// TestOVCTreeLongKeysVsFixedEngine runs the OVC strategy on a keyspace where
 // the decisive byte sits far past the 8-byte prefix — the regime the
-// fixed-width prefix engine cannot handle and OVC exists for.
+// fixed-width prefix strategy cannot handle and OVC exists for.
 func TestOVCTreeLongKeysVsFixedEngine(t *testing.T) {
 	const shared = "this-shared-prefix-is-much-longer-than-eight-bytes/"
 	build := func() []Source[string] {
@@ -179,11 +196,11 @@ func TestOVCTreeLongKeysVsFixedEngine(t *testing.T) {
 		return srcs
 	}
 	less := func(a, b string) bool { return a < b }
-	lt, _ := NewLoserTree(build(), less)
+	lt, _ := lessTree(build(), less)
 	want := drainAll(t, lt)
 	lt.Close()
 
-	ot, err := newOVCTree[string](build(), codec.KeyString{})
+	ot, err := ovcTree[string](build(), codec.KeyString{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,18 +212,17 @@ func TestOVCTreeLongKeysVsFixedEngine(t *testing.T) {
 	}
 	// Every key shares a 51-byte prefix; with offset-value coding the vast
 	// majority of matches must resolve without touching the key bytes.
-	if ot.fastPath < ot.fullCmp {
+	if ot.keys.fastPath < ot.keys.fullCmp {
 		t.Fatalf("fast path %d < full compares %d on a shared-prefix keyspace",
-			ot.fastPath, ot.fullCmp)
+			ot.keys.fastPath, ot.keys.fullCmp)
 	}
 	ot.Close()
 }
 
 // TestKeyedEnginesEmptyAndSingle covers the degenerate shapes for both
-// keyed engines: no sources, all-empty sources, and a lone element.
+// keyed strategies: no sources, all-empty sources, and a lone element.
 func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
-	pfx := codec.PrefixFunc[record.Record](codec.KeyRecord16{})
-	pt, err := newPrefixTree[record.Record](nil, pfx)
+	pt, err := prefixTree[record.Record](nil, codec.KeyRecord16{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,18 +231,18 @@ func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
 	}
 	pt.Close()
 
-	pt2, _ := newPrefixTree([]Source[record.Record]{
+	pt2, _ := prefixTree([]Source[record.Record]{
 		genSrcOf([]record.Record(nil)),
 		genSrcOf([]record.Record{{Key: 5, Aux: 1}}),
 		genSrcOf([]record.Record(nil)),
-	}, pfx)
+	}, codec.KeyRecord16{})
 	got := drainAll[record.Record](t, pt2)
 	if len(got) != 1 || got[0].Key != 5 {
 		t.Fatalf("got %v, want the single record", got)
 	}
 	pt2.Close()
 
-	ot, err := newOVCTree[string](nil, codec.KeyString{})
+	ot, err := ovcTree[string](nil, codec.KeyString{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,31 +252,235 @@ func TestKeyedEnginesEmptyAndSingle(t *testing.T) {
 	ot.Close()
 }
 
-// BenchmarkKeyedVsComparatorMerge is the CI microbenchmark guard: the same
-// merge through the comparator loser tree, the prefix engine and the OVC
-// engine. Each keyed iteration also asserts element-for-element equality
-// with the comparator output, so a single -benchtime 1x -short run doubles
-// as a correctness gate.
-func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
-	const k, n = 10, 2000
-	build := func() []Source[record.Record] {
-		rng := rand.New(rand.NewSource(3))
-		srcs := make([]Source[record.Record], k)
+// TestPrefixTreeSentinelKeys pins the prefix strategy where its exhaustion
+// sentinel ^0 collides with a live key: record.Record keys equal to
+// math.MaxInt64 normalize to exactly ^0, so only the done flags tell them
+// from exhausted sources. Empty and early-exhausted sources are mixed in,
+// and the output must equal the comparator tree's element for element
+// (Aux tells ties apart).
+func TestPrefixTreeSentinelKeys(t *testing.T) {
+	pool := []int64{math.MinInt64, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for trial := int64(0); trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		k := 1 + rng.Intn(8)
+		data := make([][]record.Record, k)
 		serial := uint64(0)
-		for i := 0; i < k; i++ {
+		for i := range data {
+			n := rng.Intn(12) // includes empty sources
+			if i == 0 {
+				n = 3 + rng.Intn(5)
+			}
 			recs := make([]record.Record, n)
 			for j := range recs {
 				serial++
-				recs[j] = record.Record{Key: rng.Int63n(1 << 30), Aux: serial}
+				key := int64(math.MaxInt64)
+				if i != 0 || j == 0 {
+					key = pool[rng.Intn(len(pool))]
+				}
+				recs[j] = record.Record{Key: key, Aux: serial}
 			}
-			sort.SliceStable(recs, func(a, bb int) bool { return recs[a].Key < recs[bb].Key })
-			srcs[i] = genSrcOf(recs)
+			sort.SliceStable(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key })
+			data[i] = recs
 		}
-		return srcs
+		lt, _ := lessTree(sliceSources(data), record.Less)
+		want := drainAll[record.Record](t, lt)
+		pt, err := prefixTree(sliceSources(data), codec.KeyRecord16{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainAll[record.Record](t, pt)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: prefix tree\n got  %v\n want %v", trial, got, want)
+		}
 	}
+}
+
+// taggedStr is a string key with a payload outside the key, so tie
+// placement is visible in the output.
+type taggedStr struct {
+	key string
+	tag int
+}
+
+type taggedStrKeys struct{}
+
+func (taggedStrKeys) AppendKey(buf []byte, v taggedStr) []byte { return append(buf, v.key...) }
+func (taggedStrKeys) FixedKeySize() int                        { return 0 }
+func (taggedStrKeys) TotalKey() bool                           { return false }
+
+// TestOVCTreeEdgeKeys pins the offset-value-coding strategy on the keys
+// its code space treats specially: the empty key, keys made of 0x00 and
+// 0xff bytes, a key against its own 0x00 extension, and keys that share a
+// prefix of several kilobytes. The output must equal the comparator
+// tree's element for element.
+func TestOVCTreeEdgeKeys(t *testing.T) {
+	long := strings.Repeat("p", 5000)
+	words := []string{"", "\x00", "\x00\xff", "\xff", "a", "a\x00",
+		long, long + "\x00", long + "a", long + "a\x00", long + "\xff", long + long}
+	less := func(a, b taggedStr) bool { return a.key < b.key }
+	for trial := int64(0); trial < 40; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		k := 1 + rng.Intn(7)
+		data := make([][]taggedStr, k)
+		tag := 0
+		for i := range data {
+			vals := make([]taggedStr, rng.Intn(25))
+			for j := range vals {
+				tag++
+				vals[j] = taggedStr{key: words[rng.Intn(len(words))], tag: tag}
+			}
+			sort.SliceStable(vals, func(a, b int) bool { return less(vals[a], vals[b]) })
+			data[i] = vals
+		}
+		lt, _ := lessTree(sliceSources(data), less)
+		want := drainAll(t, lt)
+		ot, err := ovcTree(sliceSources(data), taggedStrKeys{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainAll(t, ot)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: OVC tree output differs from the comparator tree's", trial)
+		}
+	}
+}
+
+// failingSource delivers vals and then fails with err on every read.
+type failingSource[T any] struct {
+	vals []T
+	err  error
+}
+
+func (f *failingSource[T]) Read() (T, error) {
+	if len(f.vals) == 0 {
+		var zero T
+		return zero, f.err
+	}
+	v := f.vals[0]
+	f.vals = f.vals[1:]
+	return v, nil
+}
+
+func (f *failingSource[T]) Close() error { return nil }
+
+// TestMergersSourceErrorMidStream fails one source after more than a leaf
+// buffer's worth of elements and checks every merger, through Read and
+// ReadBatch: the error surfaces (never as io.EOF, also on the read after
+// it), and what was delivered before it is exactly the merged order up to
+// and including the failing source's last element.
+func TestMergersSourceErrorMidStream(t *testing.T) {
+	injected := errors.New("injected source failure")
+	// The failing source draws its 300 keys from the lower half of the
+	// range, so it fails mid-stream rather than near the end.
+	keys := rand.New(rand.NewSource(5)).Perm(600)
+	for k := 600; k < 1300; k++ {
+		keys = append(keys, k)
+	}
+	runOf := func(ks []int) []record.Record {
+		recs := make([]record.Record, len(ks))
+		for i, k := range ks {
+			recs[i] = record.Record{Key: int64(k), Aux: uint64(k)}
+		}
+		sort.Slice(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key })
+		return recs
+	}
+	bad, good := runOf(keys[:300]), runOf(keys[300:])
+	if len(bad) <= leafBatch {
+		t.Fatal("the failing source must outlast one leaf buffer")
+	}
+	// Keys are distinct, so the merged order is the sorted order, and the
+	// mergers can deliver everything up to the failing source's last
+	// element before they need its next one.
+	want := runOf(keys)
+	wantN := sort.Search(len(want), func(i int) bool { return want[i].Key > bad[len(bad)-1].Key })
+
+	type opener func([]Source[record.Record]) (Source[record.Record], error)
+	mergers := []struct {
+		name string
+		open opener
+	}{
+		{"comparator", func(s []Source[record.Record]) (Source[record.Record], error) { return lessTree(s, record.Less) }},
+		{"prefix", func(s []Source[record.Record]) (Source[record.Record], error) {
+			return prefixTree(s, codec.KeyRecord16{})
+		}},
+		{"ovc", func(s []Source[record.Record]) (Source[record.Record], error) { return ovcTree(s, codec.KeyRecord16{}) }},
+		{"heap", func(s []Source[record.Record]) (Source[record.Record], error) { return NewHeapMerger(s, record.Less) }},
+	}
+	for _, m := range mergers {
+		for _, batch := range []bool{false, true} {
+			srcs := []Source[record.Record]{genSrcOf(good), &failingSource[record.Record]{vals: bad, err: injected}}
+			mg, err := m.open(srcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []record.Record
+			read := func() error {
+				if !batch {
+					v, err := mg.Read()
+					if err == nil {
+						got = append(got, v)
+					}
+					return err
+				}
+				buf := make([]record.Record, 100)
+				n, err := mg.(stream.BatchReader[record.Record]).ReadBatch(buf)
+				if n > 0 && err != nil {
+					t.Fatalf("%s: ReadBatch returned %d elements with error %v", m.name, n, err)
+				}
+				got = append(got, buf[:n]...)
+				return err
+			}
+			for err = read(); err == nil; err = read() {
+			}
+			if !errors.Is(err, injected) {
+				t.Fatalf("%s batch=%v: err = %v, want the injected error", m.name, batch, err)
+			}
+			if err := read(); !errors.Is(err, injected) {
+				t.Fatalf("%s batch=%v: read after the error = %v, want the injected error", m.name, batch, err)
+			}
+			if len(got) != wantN || !slices.Equal(got, want[:len(got)]) {
+				t.Fatalf("%s batch=%v: delivered %d elements, want the first %d of the merged order",
+					m.name, batch, len(got), wantN)
+			}
+			mg.Close()
+		}
+	}
+}
+
+// sliceSources wraps fresh slice sources around data, one per slice.
+func sliceSources[T any](data [][]T) []Source[T] {
+	srcs := make([]Source[T], len(data))
+	for i, d := range data {
+		srcs[i] = genSrcOf(d)
+	}
+	return srcs
+}
+
+// BenchmarkKeyedVsComparatorMerge is the CI microbenchmark guard: the same
+// merge through the loser tree with the comparator, prefix and OVC
+// strategies. The runs are generated once; each iteration merges fresh
+// slice sources over them, so the timing is the merge alone. Each keyed
+// iteration also asserts element-for-element equality with the comparator
+// output, so a single -benchtime 1x -short run doubles as a correctness
+// gate.
+func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
+	const k, n = 10, 2000
+	rng := rand.New(rand.NewSource(3))
+	data := make([][]record.Record, k)
+	serial := uint64(0)
+	for i := range data {
+		recs := make([]record.Record, n)
+		for j := range recs {
+			serial++
+			recs[j] = record.Record{Key: rng.Int63n(1 << 30), Aux: serial}
+		}
+		sort.SliceStable(recs, func(a, bb int) bool { return recs[a].Key < recs[bb].Key })
+		data[i] = recs
+	}
+	out := make([]record.Record, 0, k*n)
+	buf := make([]record.Record, 512)
 	drainB := func(b *testing.B, s Source[record.Record], want []record.Record) []record.Record {
-		out := make([]record.Record, 0, k*n)
-		buf := make([]record.Record, 512)
+		out = out[:0]
 		br := stream.AsBatchReader[record.Record](s)
 		for {
 			m, err := br.ReadBatch(buf)
@@ -272,55 +492,40 @@ func BenchmarkKeyedVsComparatorMerge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if want != nil {
-			if len(out) != len(want) {
-				b.Fatalf("length %d, want %d", len(out), len(want))
-			}
-			for i := range want {
-				if out[i] != want[i] {
-					b.Fatalf("keyed merge diverged from comparator at element %d: %+v vs %+v",
-						i, out[i], want[i])
-				}
-			}
+		if want != nil && !slices.Equal(out, want) {
+			b.Fatal("keyed merge diverged from the comparator merge")
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
 		}
 		return out
 	}
 
-	lt, err := NewLoserTree(build(), record.Less)
+	lt, err := lessTree(sliceSources(data), record.Less)
 	if err != nil {
 		b.Fatal(err)
 	}
-	want := drainB(b, lt, nil)
-	lt.Close()
+	want := slices.Clone(drainB(b, lt, nil))
 
 	b.Run("comparator", func(b *testing.B) {
 		b.SetBytes(int64(k * n * record.Size))
 		for i := 0; i < b.N; i++ {
-			lt, _ := NewLoserTree(build(), record.Less)
+			lt, _ := lessTree(sliceSources(data), record.Less)
 			drainB(b, lt, want)
-			lt.Close()
 		}
 	})
 	b.Run("prefix", func(b *testing.B) {
 		b.SetBytes(int64(k * n * record.Size))
 		for i := 0; i < b.N; i++ {
-			pt, err := newPrefixTree(build(), codec.PrefixFunc[record.Record](codec.KeyRecord16{}))
-			if err != nil {
-				b.Fatal(err)
-			}
+			pt, _ := prefixTree(sliceSources(data), codec.KeyRecord16{})
 			drainB(b, pt, want)
-			pt.Close()
 		}
 	})
 	b.Run("ovc", func(b *testing.B) {
 		b.SetBytes(int64(k * n * record.Size))
 		for i := 0; i < b.N; i++ {
-			ot, err := newOVCTree[record.Record](build(), codec.KeyRecord16{})
-			if err != nil {
-				b.Fatal(err)
-			}
+			ot, _ := ovcTree(sliceSources(data), codec.KeyRecord16{})
 			drainB(b, ot, want)
-			ot.Close()
 		}
 	})
 }

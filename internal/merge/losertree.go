@@ -1,8 +1,10 @@
 // Package merge implements the merge phase of external mergesort
 // (§2.1.2 of the thesis): a k-way merge built on a loser tree, a multi-pass
 // driver with configurable fan-in, and polyphase merge over a tape
-// abstraction (Table 2.1). Everything is generic over the element type,
-// ordered by a caller-supplied comparator.
+// abstraction (Table 2.1). Everything is generic over the element type. The
+// loser tree orders sources by the emitter's comparator, or — when the
+// emitter carries a KeyCodec — by normalized key bytes (keyed.go), with
+// identical output either way.
 package merge
 
 import (
@@ -17,12 +19,13 @@ type Source[T any] interface {
 	Close() error
 }
 
-// leafBatch is the element count of the per-input refill buffers both merge
-// engines keep: each leaf advance is an array index, and the underlying
+// leafBatch is the element count of the per-input refill buffers both
+// mergers keep: each leaf advance is an array index, and the underlying
 // run-reader stack is entered once per leafBatch elements.
 const leafBatch = 256
 
-// leaves holds the per-source refill buffers shared by both engines.
+// leaves holds the per-source refill buffers shared by the loser tree and
+// HeapMerger.
 type leaves[T any] struct {
 	srcs []Source[T]
 	brs  []stream.BatchReader[T]
@@ -80,34 +83,63 @@ func (l *leaves[T]) closeAll() error {
 	return first
 }
 
-// LoserTree is a tournament tree over k sorted sources. Compared with a
-// heap of sources it performs exactly ⌈log2 k⌉ comparisons per record (the
+// keyer is a loser tree's match strategy: the key state it keeps for each
+// source's head and the match decision over it. Strategies differ only in
+// how they order heads — the comparator (lessKeys), a cached 8-byte prefix
+// (prefixKeys) or offset-value codes (ovcKeys) — and every strategy makes
+// the same decision for every pair of heads, so the merged output does not
+// depend on which one runs.
+type keyer[T any] interface {
+	// load records v as source i's new head.
+	load(i int, v T)
+	// exhaust marks source i as run dry.
+	exhaust(i int)
+	// less reports whether source a's head orders strictly before source
+	// b's. An exhausted source orders after every live one, and two
+	// exhausted sources or two equal heads order false both ways.
+	less(a, b int) bool
+}
+
+// loserTree is a tournament tree over k sorted sources. Compared with a
+// heap of sources it performs exactly ⌈log2 k⌉ matches per record (the
 // winner replays only its own path), which is why database sorters prefer
 // it; BenchmarkAblationMergeEngine quantifies the difference. Leaves are
 // refilled from per-input batch buffers, so source dispatch is paid once
 // per leafBatch elements.
-type LoserTree[T any] struct {
-	lv  *leaves[T]
-	cmp func(a, b T) bool
-	// cur[i] is the head element of source i; done[i] marks exhaustion.
+//
+// The tree holds its strategy's state inline (keys) and calls it through
+// K, the strategy's pointer type.
+type loserTree[T any, S any, K interface {
+	*S
+	keyer[T]
+}] struct {
+	lv   *leaves[T]
+	keys S
+	// cur[i] is the head element of source i; live counts the sources not
+	// yet exhausted. Exhausted sources lose every match, so the overall
+	// winner is exhausted exactly when live is zero.
 	cur  []T
-	done []bool
+	live int
 	// tree[j] holds the loser of the match at internal node j; tree[0]
 	// holds the overall winner.
-	tree    []int
-	k       int
-	closed  bool
-	pendErr error // error deferred by ReadBatch after a partial batch
+	tree   []int
+	k      int
+	closed bool
+	err    error // a source's error; every later read returns it
 }
 
-// NewLoserTree builds a tree over the given sources, priming each one.
-func NewLoserTree[T any](srcs []Source[T], less func(a, b T) bool) (*LoserTree[T], error) {
+// newLoserTree builds a tree over the given sources ordered by keys,
+// priming each source.
+func newLoserTree[T any, S any, K interface {
+	*S
+	keyer[T]
+}](srcs []Source[T], keys S) (*loserTree[T, S, K], error) {
 	k := len(srcs)
-	t := &LoserTree[T]{
+	t := &loserTree[T, S, K]{
 		lv:   newLeaves(srcs),
-		cmp:  less,
+		keys: keys,
 		cur:  make([]T, k),
-		done: make([]bool, k),
+		live: k,
 		tree: make([]int, k),
 		k:    k,
 	}
@@ -122,37 +154,28 @@ func NewLoserTree[T any](srcs []Source[T], less func(a, b T) bool) (*LoserTree[T
 }
 
 // advance pulls the next element from source i's leaf buffer.
-func (t *LoserTree[T]) advance(i int) error {
-	rec, ok, err := t.lv.next(i)
-	if err != nil {
+func (t *loserTree[T, S, K]) advance(i int) error {
+	v, ok, err := t.lv.next(i)
+	switch {
+	case err != nil:
 		return err
+	case !ok:
+		K(&t.keys).exhaust(i)
+		t.live--
+	default:
+		t.cur[i] = v
+		K(&t.keys).load(i, v)
 	}
-	if !ok {
-		t.done[i] = true
-		return nil
-	}
-	t.cur[i] = rec
 	return nil
-}
-
-// less reports whether source a's head orders before source b's; exhausted
-// sources order last.
-func (t *LoserTree[T]) less(a, b int) bool {
-	if t.done[a] {
-		return false
-	}
-	if t.done[b] {
-		return true
-	}
-	return t.cmp(t.cur[a], t.cur[b])
 }
 
 // build runs the initial tournament, filling tree with losers and tree[0]
 // with the winner.
-func (t *LoserTree[T]) build() {
+func (t *loserTree[T, S, K]) build() {
 	if t.k == 0 {
 		return
 	}
+	keys := K(&t.keys)
 	// Play the tournament bottom-up: winner[j] for internal node j over
 	// leaves k..2k-1 (leaf j represents source j-k).
 	winner := make([]int, 2*t.k)
@@ -161,7 +184,7 @@ func (t *LoserTree[T]) build() {
 	}
 	for j := t.k - 1; j >= 1; j-- {
 		a, b := winner[2*j], winner[2*j+1]
-		if t.less(a, b) {
+		if keys.less(a, b) {
 			winner[j] = a
 			t.tree[j] = b
 		} else {
@@ -174,52 +197,89 @@ func (t *LoserTree[T]) build() {
 
 // Read returns the next element in global sorted order, or io.EOF once all
 // sources are exhausted.
-func (t *LoserTree[T]) Read() (T, error) {
-	var zero T
-	if t.closed {
-		return zero, stream.ErrClosed
-	}
-	if t.k == 0 {
-		return zero, io.EOF
-	}
-	w := t.tree[0]
-	if t.done[w] {
-		return zero, io.EOF
-	}
-	rec := t.cur[w]
-	if err := t.advance(w); err != nil {
-		return zero, err
-	}
-	// Replay the winner's path to the root: at each internal node the new
-	// contender either stays winner or swaps with the stored loser.
-	j := (w + t.k) / 2
-	for j >= 1 {
-		if t.less(t.tree[j], w) {
-			t.tree[j], w = w, t.tree[j]
-		}
-		j /= 2
-	}
-	t.tree[0] = w
-	return rec, nil
+func (t *loserTree[T, S, K]) Read() (T, error) {
+	var one [1]T
+	_, err := t.ReadBatch(one[:])
+	return one[0], err
 }
 
 // ReadBatch fills dst with the next elements in global sorted order per the
-// stream.BatchReader contract, replaying the winner path once per element
-// but paying the interface dispatch to the caller only once per batch.
-func (t *LoserTree[T]) ReadBatch(dst []T) (int, error) {
+// stream.BatchReader contract. When a source fails, the elements already
+// taken — the in-flight winner included — are delivered first, and every
+// later call returns the error.
+func (t *loserTree[T, S, K]) ReadBatch(dst []T) (int, error) {
 	if t.closed {
 		return 0, stream.ErrClosed
 	}
-	return stream.ReadBatchElems[T](t, &t.pendErr, dst)
+	if t.err != nil {
+		return 0, t.err
+	}
+	keys := K(&t.keys)
+	for n := range dst {
+		if t.live == 0 {
+			if n > 0 {
+				return n, nil
+			}
+			return 0, io.EOF
+		}
+		w := t.tree[0]
+		dst[n] = t.cur[w]
+		// advance(w), with the leaf-buffer hit inlined: the strategy's
+		// methods are called through the instantiation's dictionary, so
+		// this loop avoids every other call it can.
+		if lv := t.lv; lv.pos[w] < lv.cnt[w] {
+			v := lv.bufs[w][lv.pos[w]]
+			lv.pos[w]++
+			t.cur[w] = v
+			keys.load(w, v)
+		} else if err := t.advance(w); err != nil {
+			t.err = err
+			return n + 1, nil
+		}
+		// Replay the winner's path to the root: at each internal node the
+		// new contender either stays winner or swaps with the stored loser.
+		for j := (w + t.k) / 2; j >= 1; j /= 2 {
+			if keys.less(t.tree[j], w) {
+				t.tree[j], w = w, t.tree[j]
+			}
+		}
+		t.tree[0] = w
+	}
+	return len(dst), nil
 }
 
 // Close closes every source, returning the first error encountered.
-func (t *LoserTree[T]) Close() error {
+func (t *loserTree[T, S, K]) Close() error {
 	if t.closed {
 		return stream.ErrClosed
 	}
 	t.closed = true
 	return t.lv.closeAll()
+}
+
+// lessKeys is the comparator strategy: each head is its own key.
+type lessKeys[T any] struct {
+	cmp  func(a, b T) bool
+	head []T
+	done []bool
+}
+
+func byLess[T any](less func(a, b T) bool, k int) lessKeys[T] {
+	return lessKeys[T]{cmp: less, head: make([]T, k), done: make([]bool, k)}
+}
+
+func (c *lessKeys[T]) load(i int, v T) { c.head[i] = v }
+
+func (c *lessKeys[T]) exhaust(i int) { c.done[i] = true }
+
+func (c *lessKeys[T]) less(a, b int) bool {
+	if c.done[a] {
+		return false
+	}
+	if c.done[b] {
+		return true
+	}
+	return c.cmp(c.head[a], c.head[b])
 }
 
 // HeapMerger is the naive alternative: a binary heap of sources, costing up
@@ -231,6 +291,7 @@ type HeapMerger[T any] struct {
 	heap    []int // source indices ordered by head element
 	cur     []T
 	closed  bool
+	err     error // a source's error; every later Read returns it
 	pendErr error // error deferred by ReadBatch after a partial batch
 }
 
@@ -284,11 +345,16 @@ func (m *HeapMerger[T]) down(i int) {
 	}
 }
 
-// Read returns the next element in global sorted order.
+// Read returns the next element in global sorted order. When a source
+// fails, the element already taken is returned first and every later call
+// returns the error.
 func (m *HeapMerger[T]) Read() (T, error) {
 	var zero T
 	if m.closed {
 		return zero, stream.ErrClosed
+	}
+	if m.err != nil {
+		return zero, m.err
 	}
 	if len(m.heap) == 0 {
 		return zero, io.EOF
@@ -296,17 +362,17 @@ func (m *HeapMerger[T]) Read() (T, error) {
 	src := m.heap[0]
 	rec := m.cur[src]
 	next, ok, err := m.lv.next(src)
-	if err != nil {
-		return zero, err
-	}
-	if !ok {
+	switch {
+	case err != nil:
+		m.err = err
+	case !ok:
 		last := len(m.heap) - 1
 		m.heap[0] = m.heap[last]
 		m.heap = m.heap[:last]
 		if len(m.heap) > 0 {
 			m.down(0)
 		}
-	} else {
+	default:
 		m.cur[src] = next
 		m.down(0)
 	}

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/record"
@@ -49,7 +50,7 @@ func TestLoserTreeThreeWayExample(t *testing.T) {
 		srcOf(3, 13, 14, 17),
 		srcOf(1, 7, 9, 18),
 	}
-	lt, err := NewLoserTree(srcs, record.Less)
+	lt, err := lessTree(srcs, record.Less)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestMergersRandomizedAgainstSort(t *testing.T) {
 		var all []int64
 		build := func() []Source[record.Record] {
 			srcs := make([]Source[record.Record], k)
-			// Rebuild identical sources for each engine.
+			// Rebuild identical sources for each merger.
 			r2 := rand.New(rand.NewSource(int64(trial)))
 			all = all[:0]
 			for i := 0; i < k; i++ {
@@ -91,7 +92,7 @@ func TestMergersRandomizedAgainstSort(t *testing.T) {
 			return srcs
 		}
 
-		lt, err := NewLoserTree(build(), record.Less)
+		lt, err := lessTree(build(), record.Less)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestMergersRandomizedAgainstSort(t *testing.T) {
 }
 
 func TestMergersEmptyAndSingle(t *testing.T) {
-	lt, err := NewLoserTree(nil, record.Less)
+	lt, err := lessTree(nil, record.Less)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestMergersEmptyAndSingle(t *testing.T) {
 	}
 	lt.Close()
 
-	lt2, _ := NewLoserTree([]Source[record.Record]{srcOf(), srcOf(5), srcOf()}, record.Less)
+	lt2, _ := lessTree([]Source[record.Record]{srcOf(), srcOf(5), srcOf()}, record.Less)
 	got := drain(t, lt2)
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("got %v, want [5]", got)
@@ -146,7 +147,7 @@ func TestMergersEmptyAndSingle(t *testing.T) {
 
 func TestMergersDuplicateKeys(t *testing.T) {
 	srcs := []Source[record.Record]{srcOf(1, 1, 1), srcOf(1, 1), srcOf(1)}
-	lt, _ := NewLoserTree(srcs, record.Less)
+	lt, _ := lessTree(srcs, record.Less)
 	got := drain(t, lt)
 	if len(got) != 6 {
 		t.Fatalf("got %d records, want 6", len(got))
@@ -155,7 +156,7 @@ func TestMergersDuplicateKeys(t *testing.T) {
 }
 
 func TestReadAfterClose(t *testing.T) {
-	lt, _ := NewLoserTree([]Source[record.Record]{srcOf(1)}, record.Less)
+	lt, _ := lessTree([]Source[record.Record]{srcOf(1)}, record.Less)
 	lt.Close()
 	if _, err := lt.Read(); err != record.ErrClosed {
 		t.Fatalf("read after close = %v, want ErrClosed", err)
@@ -290,19 +291,6 @@ func TestMergeRejectsBadFanIn(t *testing.T) {
 	}
 }
 
-func TestMergeHeapEngine(t *testing.T) {
-	fs := vfs.NewMemFS()
-	em := runio.RecordEmitter(fs, "m")
-	runs, all := makeRuns(t, fs, em, 7, 40, 4)
-	var out record.SliceWriter
-	if _, err := Merge(em, runs, &out, Config{FanIn: 3, MemoryBytes: 8192, Engine: EngineHeap}); err != nil {
-		t.Fatal(err)
-	}
-	if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
-		t.Fatal("heap engine merge wrong")
-	}
-}
-
 func TestPolyphaseCountsTable21(t *testing.T) {
 	// Table 2.1 of the thesis, verbatim.
 	steps, err := PolyphaseCounts([]int{8, 10, 3, 0, 8, 11})
@@ -386,41 +374,48 @@ func TestPolyphaseNeedsEmptyTape(t *testing.T) {
 	}
 }
 
+// BenchmarkAblationMergeEngine times the loser tree against HeapMerger on
+// the same runs, generated once; each iteration merges fresh slice sources
+// over them and checks the output length.
 func BenchmarkAblationMergeEngine(b *testing.B) {
 	const k, n = 10, 1000
-	build := func() []Source[record.Record] {
-		rng := rand.New(rand.NewSource(1))
-		srcs := make([]Source[record.Record], k)
-		for i := 0; i < k; i++ {
-			keys := make([]int64, n)
-			for j := range keys {
-				keys[j] = rng.Int63n(1 << 30)
-			}
-			sort.Slice(keys, func(a, bb int) bool { return keys[a] < keys[bb] })
-			srcs[i] = srcOf(keys...)
+	rng := rand.New(rand.NewSource(1))
+	data := make([][]record.Record, k)
+	for i := range data {
+		keys := make([]int64, n)
+		for j := range keys {
+			keys[j] = rng.Int63n(1 << 30)
 		}
-		return srcs
+		sort.Slice(keys, func(a, bb int) bool { return keys[a] < keys[bb] })
+		data[i] = record.FromKeys(keys...)
+	}
+	drainB := func(b *testing.B, m Source[record.Record]) {
+		got := 0
+		for {
+			_, err := m.Read()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			got++
+		}
+		if got != k*n {
+			b.Fatalf("merged %d records, want %d", got, k*n)
+		}
+		m.Close()
 	}
 	b.Run("losertree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lt, _ := NewLoserTree(build(), record.Less)
-			for {
-				if _, err := lt.Read(); err == io.EOF {
-					break
-				}
-			}
-			lt.Close()
+			lt, _ := lessTree(sliceSources(data), record.Less)
+			drainB(b, lt)
 		}
 	})
 	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hm, _ := NewHeapMerger(build(), record.Less)
-			for {
-				if _, err := hm.Read(); err == io.EOF {
-					break
-				}
-			}
-			hm.Close()
+			hm, _ := NewHeapMerger(sliceSources(data), record.Less)
+			drainB(b, hm)
 		}
 	})
 }
@@ -454,16 +449,16 @@ func TestMergeParallelWorkers(t *testing.T) {
 	}
 }
 
-// cancelNow is a Cancel hook that trips after a fixed number of polls.
+// cancelNow is a Cancel hook that trips after a fixed number of polls. The
+// parallel merge polls it from several workers at once.
 type cancelNow struct {
-	polls int
-	after int
+	polls atomic.Int64
+	after int64
 	err   error
 }
 
 func (c *cancelNow) hook() error {
-	c.polls++
-	if c.polls > c.after {
+	if c.polls.Add(1) > c.after {
 		return c.err
 	}
 	return nil

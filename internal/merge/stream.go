@@ -99,7 +99,7 @@ func NewStream[T any](em *runio.Emitter[T], inputs []runio.Run, cfg Config) (*St
 		st.eng = srcs[0]
 		st.stats.Passes = depth
 	} else {
-		st.eng, err = newEngine(em, cfg, srcs)
+		st.eng, err = newEngine(em, srcs)
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ type Emitter[T any] struct {
 	// KeyCodec, when set, supplies memcmp-ordered normalized key bytes
 	// consistent with Less (see codec.KeyCodec). Run generators then cache
 	// key prefixes in their heaps and sort batches on the normalized bytes,
-	// and the merge engines compare keys instead of calling Less; the
+	// and the merge's loser tree compares keys instead of calling Less; the
 	// sorted output is byte-identical either way. The driver sets it only
 	// after the codec passes the sampled order check.
 	KeyCodec codec.KeyCodec[T]
