@@ -343,7 +343,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		out := record.SliceWriter{Recs: make([]record.Record, 0, len(recs))}
+		out := record.SliceWriter{Vals: make([]record.Record, 0, len(recs))}
 		src := &elementOnlyReader{r: record.NewSliceReader(recs)}
 		_, err = s.Sort(nil, src, &elementOnlyWriter{w: &out})
 		return err

@@ -22,14 +22,15 @@ import (
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/record"
-	"repro/internal/rs"
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
 )
 
-// Algorithm selects the run-generation strategy.
+// Algorithm is the legacy name for the run generator: a thin alias that
+// withDefaults resolves to the matching policy kind when Config.Policy is
+// unset. Only the paper's three algorithms have one.
 type Algorithm int
 
 // The run generation algorithms this library implements.
@@ -42,23 +43,25 @@ const (
 	LoadSortStore
 )
 
-var algNames = map[Algorithm]string{
-	TwoWayRS:      "2wrs",
-	RS:            "rs",
-	LoadSortStore: "lss",
+// algKinds maps each Algorithm onto the policy kind it aliases.
+var algKinds = map[Algorithm]policy.Kind{
+	TwoWayRS:      policy.TwoWayRS,
+	RS:            policy.RS,
+	LoadSortStore: policy.LSS,
 }
 
+// String returns the name of the policy the algorithm aliases.
 func (a Algorithm) String() string {
-	if n, ok := algNames[a]; ok {
-		return n
+	if k, ok := algKinds[a]; ok {
+		return k.String()
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
 // ParseAlgorithm resolves a CLI name.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	for a, n := range algNames {
-		if strings.EqualFold(s, n) {
+	for a, k := range algKinds {
+		if strings.EqualFold(s, k.String()) {
 			return a, nil
 		}
 	}
@@ -148,41 +151,6 @@ func RecordOps() Ops[record.Record] {
 // within the first few distinct values.
 const keySampleLen = 64
 
-// pushback re-serves the elements a sampled validation consumed before
-// handing the rest of the stream through. It forwards Sized so pre-sizing
-// consumers still see the full count.
-type pushback[T any] struct {
-	buf  []T
-	pos  int
-	rest stream.Reader[T]
-}
-
-func (p *pushback[T]) Read() (T, error) {
-	if p.pos < len(p.buf) {
-		v := p.buf[p.pos]
-		p.pos++
-		return v, nil
-	}
-	return p.rest.Read()
-}
-
-func (p *pushback[T]) ReadBatch(dst []T) (int, error) {
-	if p.pos < len(p.buf) {
-		n := copy(dst, p.buf[p.pos:])
-		p.pos += n
-		return n, nil
-	}
-	return stream.AsBatchReader(p.rest).ReadBatch(dst)
-}
-
-func (p *pushback[T]) Remaining() int {
-	n := len(p.buf) - p.pos
-	if s, ok := p.rest.(stream.Sized); ok {
-		n += s.Remaining()
-	}
-	return n
-}
-
 // applyKeyCodec decides whether this sort runs keyed: it samples the head
 // of src, checks the codec's byte order against the comparator on every
 // sampled pair, and either arms the emitter (consistent), fails the sort
@@ -205,7 +173,7 @@ func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]
 			break
 		}
 	}
-	out := &pushback[T]{buf: sample, rest: src}
+	out := stream.NewPushback(sample, br)
 	if !codec.KeyOrderConsistent(ops.KeyCodec, ops.Less, sample) {
 		if ops.KeyedExplicit {
 			return nil, false, fmt.Errorf("extsort: KeyCodec disagrees with Less on sampled input: normalized key order must match the comparator")
@@ -218,14 +186,14 @@ func applyKeyCodec[T any](src stream.Reader[T], em *runio.Emitter[T], ops Ops[T]
 
 // Config parameterises a complete external sort.
 type Config struct {
-	// Algorithm is the run generation strategy when no Policy is selected.
+	// Algorithm is the legacy alias for Policy: when Policy is policy.None,
+	// withDefaults resolves it to policy.TwoWayRS, policy.RS or policy.LSS,
+	// and nothing after that reads it.
 	Algorithm Algorithm
-	// Policy, when not policy.None, selects run generation through the
-	// policy engine (internal/policy) instead of Algorithm: one of the
-	// fixed generators (2wrs, rs, alternating, quick) or the adaptive
+	// Policy selects the run generator (internal/policy): one of the fixed
+	// generators (2wrs, rs, lss, alternating, quick) or the adaptive
 	// policy.Auto, which probes the input and may switch generators at run
-	// boundaries mid-stream. The zero value preserves the legacy
-	// Algorithm-driven behaviour exactly.
+	// boundaries mid-stream. The zero value defers to Algorithm.
 	Policy policy.Kind
 	// Memory is the memory budget in records, used by both phases: the run
 	// generation data structures, and (converted to bytes) the merge
@@ -307,7 +275,22 @@ func Recommended(memory int) Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults fills in the defaults and validates the configuration. It
+// resolves the Algorithm alias into Policy.
+func (c Config) withDefaults() (Config, error) {
+	if c.Memory <= 0 {
+		return c, fmt.Errorf("extsort: memory must be positive, got %d", c.Memory)
+	}
+	if c.Policy == policy.None {
+		k, ok := algKinds[c.Algorithm]
+		if !ok {
+			return c, fmt.Errorf("extsort: unknown algorithm %v", c.Algorithm)
+		}
+		c.Policy = k
+	}
+	if c.Manifest && c.Policy == policy.Auto {
+		return c, fmt.Errorf("extsort: the auto policy's adaptive probe state cannot be checkpointed; durable (Manifest/Resume) sorts need a fixed policy or a legacy Algorithm")
+	}
 	if c.FanIn == 0 {
 		c.FanIn = 10
 	}
@@ -332,7 +315,15 @@ func (c Config) withDefaults() Config {
 	}
 	twrs.Memory = c.Memory
 	c.TWRS = twrs
-	return c
+	return c, nil
+}
+
+// prepare defaults and validates cfg for a sort over ops.
+func prepare[T any](cfg Config, ops Ops[T]) (Config, error) {
+	if err := ops.validate(); err != nil {
+		return cfg, err
+	}
+	return cfg.withDefaults()
 }
 
 // Stats reports everything the experiments measure about one sort.
@@ -343,9 +334,10 @@ type Stats struct {
 	Runs         int
 	AvgRunLength float64
 	// Policy names the run-generation policy that ran ("2wrs", "rs",
-	// "alternating", "quick", "auto"; legacy Algorithm-driven sorts report
-	// the algorithm's name). PolicySwitches counts the mid-stream generator
-	// changes the auto policy made (0 for every fixed policy).
+	// "lss", "alternating", "quick", "auto"; the legacy Algorithm alias
+	// reports the policy it resolves to). PolicySwitches counts the
+	// mid-stream generator changes the auto policy made (0 for every fixed
+	// policy).
 	Policy         string
 	PolicySwitches int
 	// RunsRecovered is the number of runs a resumed sort recovered intact
@@ -442,16 +434,21 @@ func GenerateRuns[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]
 		// adoptable state: run a fresh manifest-writing pass.
 		cfg.Resume, cfg.Manifest = false, true
 	}
-	if cfg.Manifest {
-		return generateManifest(src, fs, cfg, ops, nil)
-	}
-	cfg = cfg.withDefaults()
-	if err := ops.validate(); err != nil {
+	cfg, err := prepare(cfg, ops)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Memory <= 0 {
-		return nil, fmt.Errorf("extsort: memory must be positive, got %d", cfg.Memory)
+	rset, err := newRunSet(fs, cfg, ops)
+	if err != nil {
+		return nil, err
 	}
+	return rset.generate(src, nil, entry)
+}
+
+// newRunSet builds the RunSet shell every pass starts from — storage,
+// observability and the emitter — for a prepared configuration. A durable
+// set also records where its manifest lives.
+func newRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	store, err := storage.New(fs, cfg.Storage)
 	if err != nil {
 		return nil, err
@@ -472,125 +469,191 @@ func GenerateRuns[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]
 	// With headroom for concurrency, spill pages flow to storage through
 	// background writer goroutines so heap work overlaps file I/O.
 	em.Async = cfg.Parallelism > 1
-
 	clock := cfg.Clock
 	if clock == nil {
 		clock = func() time.Duration { return 0 }
 	}
-
 	rset := &RunSet[T]{store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o}
 	rset.stats.Storage = store.String()
+	if cfg.Manifest {
+		rset.fs, rset.manifestName = fs, manifest.Name(cfg.Prefix)
+	}
+	return rset, nil
+}
+
+// generate is the one run-generation loop. Every sort draws its runs here
+// from the generator policy.New builds, whatever the policy (or legacy
+// Algorithm) and whether or not it is durable. A durable sort adds two
+// steps per run boundary: commitBoundary makes the boundary durable, and
+// the generator restarts from its carried state, so the run sequence is a
+// pure function of input and configuration (DESIGN.md §14). rec, when set,
+// continues a recovered pass. On error a plain sort's files are discarded;
+// a durable sort's spill files and manifest stay on disk for Resume.
+func (r *RunSet[T]) generate(src stream.Reader[T], rec *recovered[T], entry time.Time) (*RunSet[T], error) {
+	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
+	durable := r.manifestName != ""
+	total := int64(-1)
+	if s, ok := src.(stream.Sized); ok {
+		total = int64(s.Remaining())
+	}
+	em.Checksums = durable
 
 	// Arm the keyed hot path if a key codec is available and survives the
 	// sampled order check against the comparator.
 	src, keyed, err := applyKeyCodec(src, em, ops)
 	if err != nil {
-		o.reporter().Stop()
-		return nil, err
+		return r.abortSetup(err)
 	}
-	rset.stats.Keyed = keyed
+	r.stats.Keyed = keyed
+	var man *manifest.Writer
+	if durable {
+		hdr := durableHeader(cfg, ops, em, keyed)
+		if rec == nil {
+			man, err = manifest.Create(r.fs, r.manifestName, hdr)
+		} else {
+			man, err = manifest.Rewrite(r.fs, r.manifestName, hdr, rec.manRuns)
+		}
+		if err != nil {
+			return r.abortSetup(err)
+		}
+	}
 
-	polName := cfg.Algorithm.String()
-	if cfg.Policy != policy.None {
-		polName = cfg.Policy.String()
-	}
-	gsp := o.tracer().Start("generate", obs.Str("policy", polName), obs.Bool("keyed", keyed))
-	src = meterSource(o, src)
+	pol := cfg.Policy.String()
+	gsp := o.tracer().Start("generate",
+		obs.Str("policy", pol), obs.Bool("keyed", keyed), obs.Bool("durable", durable))
 	fail := func(err error) (*RunSet[T], error) {
 		gsp.End(obs.Str("error", err.Error()))
-		rset.Discard()
-		return nil, err
+		if !durable {
+			r.Discard()
+			return nil, err
+		}
+		// No Discard for a durable sort: the spill files and manifest are
+		// exactly the state Resume needs. But an abandoned run writer's
+		// background flusher must still be joined, or it would keep
+		// appending to the surviving files while a later Resume reads them.
+		man.Close()
+		em.AbortOpen()
+		return r.abortSetup(err)
 	}
-	simStart, wallStart := clock(), time.Now()
 
-	if cfg.Policy != policy.None {
-		// Policy-selected run generation: the engine drives one of the four
-		// fixed generators, or the adaptive auto policy that may switch
-		// generators at run boundaries. Per-run spans and switch events are
-		// recorded by the engine under gsp.
-		pres, err := policy.Generate(cfg.Policy, src, em,
-			policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}, ops.Key)
-		if err != nil {
+	in := &countReader[T]{src: src, br: stream.AsBatchReader(src)}
+	var (
+		carried []T
+		carries []string
+	)
+	if rec != nil {
+		rsp := o.tracer().Start("resume",
+			obs.Int("runs_recovered", int64(len(rec.runs))), obs.Int("input_pos", rec.inputPos))
+		if err := skipInput(in, rec.inputPos); err != nil {
+			rsp.End(obs.Str("error", err.Error()))
 			return fail(err)
 		}
-		rset.runs, rset.stats.Records = pres.Runs, pres.Records
-		rset.policies = make([]string, len(pres.Policies))
-		for i, k := range pres.Policies {
-			rset.policies[i] = k.String()
-		}
-		for _, run := range pres.Runs {
-			if !run.Concatenable {
-				rset.stats.OverlapRuns++
+		rsp.End()
+		r.runs = append(r.runs, rec.runs...)
+		r.policies = append(r.policies, rec.policies...)
+		for _, mr := range rec.manRuns {
+			if mr.CarryName != "" {
+				carries = append(carries, mr.CarryName)
 			}
 		}
-		rset.stats.Policy = cfg.Policy.String()
-		rset.stats.PolicySwitches = pres.Switches
-	} else {
-		// The legacy Algorithm selection drives the same steppers the
-		// policy engine uses, one NextRun (= one run, one span) at a time.
-		type stepper interface {
-			NextRun() (runio.Run, bool, error)
-			Records() int64
+		carried = rec.carried
+		em.Namer.SetSeq(rec.namerSeq)
+		r.stats.RunsRecovered = len(rec.runs)
+		o.observeRecovered(len(rec.runs))
+		if total >= 0 {
+			total -= rec.inputPos
 		}
-		var (
-			gen stepper
-			tw  *core.Stepper[T]
-		)
-		switch cfg.Algorithm {
-		case RS:
-			gen, err = rs.NewStepper(src, em, cfg.Memory)
-		case LoadSortStore:
-			gen, err = rs.NewLSSStepper(src, em, cfg.Memory)
-		case TwoWayRS:
-			tw, err = core.NewStepper(src, em, cfg.TWRS, ops.Key)
-			gen = tw
-		default:
-			gsp.Drop()
-			o.reporter().Stop()
-			return nil, fmt.Errorf("extsort: unknown algorithm %v", cfg.Algorithm)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		for {
-			sp := gsp.Start("run", obs.Str("policy", polName))
-			run, ok, err := gen.NextRun()
-			if err != nil {
-				sp.Drop()
+	}
+	// Metering starts after the skip: re-served input is not new work.
+	in.c, in.rep = o.inputMeters()
+	o.reporter().SetPhase("generate", total)
+
+	simStart, wallStart := r.clock(), time.Now()
+	pcfg := policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS, Span: gsp}
+	var gen policy.Generator[T]
+	for {
+		if gen == nil {
+			var cur stream.Reader[T] = in
+			if len(carried) > 0 {
+				cur = stream.NewPushback(carried, in)
+			}
+			// A restarted alternating generator alternates by run parity.
+			if gen, err = policy.New(cfg.Policy, len(r.runs)%2 == 1, cur, em, pcfg, ops.Key); err != nil {
 				return fail(err)
 			}
-			if !ok {
-				sp.Drop()
-				break
+		}
+		made := pol
+		if a, ok := gen.(policy.Adaptive); ok {
+			made = a.Kind().String()
+		}
+		sp := gsp.Start("run", obs.Str("policy", made))
+		run, ok, err := gen.NextRun()
+		if err != nil {
+			sp.Drop()
+			return fail(err)
+		}
+		if !ok {
+			sp.Drop()
+			break
+		}
+		sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
+		if durable {
+			carried, gen = gen.Carry(), nil
+			mr, err := r.commitBoundary(man, run, carried, made, in.n)
+			if err != nil {
+				return fail(err)
 			}
-			sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
-			rset.runs = append(rset.runs, run)
+			if mr.CarryName != "" {
+				carries = append(carries, mr.CarryName)
+			}
 		}
-		rset.stats.Records = gen.Records()
-		if tw != nil {
-			rset.stats.OverlapRuns = tw.Result().OverlapRuns
+		r.runs = append(r.runs, run)
+		r.policies = append(r.policies, made)
+	}
+	if durable {
+		// Commit before deleting carry snapshots: a crash between the two
+		// leaves a committed manifest whose runs are all complete, which
+		// recovers fully; the stale carries are swept on the next resume.
+		if err := man.Commit(in.n); err != nil {
+			return fail(err)
 		}
-		rset.stats.Policy = cfg.Algorithm.String()
-		rset.policies = make([]string, len(rset.runs))
-		for i := range rset.policies {
-			rset.policies[i] = rset.stats.Policy
+		if err := man.Close(); err != nil {
+			return fail(err)
 		}
+		for _, name := range carries {
+			r.store.Remove(name)
+		}
+		em.Checksums = false // the merge phase does not update the manifest
 	}
-	rset.stats.Runs = len(rset.runs)
-	if rset.stats.Runs > 0 {
-		rset.stats.AvgRunLength = float64(rset.stats.Records) / float64(rset.stats.Runs)
+	if a, ok := gen.(policy.Adaptive); ok {
+		r.stats.PolicySwitches = a.Switches()
 	}
-	rset.stats.RunGenWall = time.Since(wallStart)
-	rset.stats.RunGenSim = clock() - simStart
-	rset.stats.IO = store.Stats()
-	rset.stats.Elapsed = time.Since(entry)
-	rset.stats.Phases = []PhaseStat{{Name: "generate", Wall: rset.stats.RunGenWall}}
-	gsp.End(obs.Int("runs", int64(rset.stats.Runs)), obs.Int("records", rset.stats.Records))
-	for _, run := range rset.runs {
-		o.observeRun(run.Records)
+	r.stats.Policy = pol
+	r.stats.RunGenSim = r.clock() - simStart
+	gsp.End(obs.Int("runs", int64(len(r.runs))), obs.Int("records", in.n))
+	r.seal(in.n, "generate", time.Since(wallStart), entry)
+	return r, nil
+}
+
+// seal completes the run-generation half of the stats once r.runs is
+// final, and reports it to the metrics.
+func (r *RunSet[T]) seal(records int64, phase string, wall time.Duration, entry time.Time) {
+	st := &r.stats
+	st.Records, st.Runs = records, len(r.runs)
+	if st.Runs > 0 {
+		st.AvgRunLength = float64(records) / float64(st.Runs)
 	}
-	o.finishGenerate(rset.stats, rset.stats.IO)
-	return rset, nil
+	for _, run := range r.runs {
+		if !run.Concatenable {
+			st.OverlapRuns++
+		}
+		r.o.observeRun(run.Records)
+	}
+	st.RunGenWall = wall
+	st.IO = r.store.Stats()
+	st.Elapsed = time.Since(entry)
+	st.Phases = []PhaseStat{{Name: phase, Wall: wall}}
+	r.o.finishGenerate(*st, st.IO)
 }
 
 // Runs returns the run manifests of the set; callers must not mutate them.
@@ -598,7 +661,7 @@ func (r *RunSet[T]) Runs() []runio.Run { return r.runs }
 
 // RunPolicies returns, parallel to Runs, the name of the run-generation
 // policy that produced each run. Under a fixed policy (or the legacy
-// Algorithm selection) every entry is the same; under the auto policy the
+// Algorithm alias) every entry is the same; under the auto policy the
 // sequence records where the engine switched generators mid-stream.
 // Callers must not mutate the returned slice.
 func (r *RunSet[T]) RunPolicies() []string { return r.policies }

@@ -102,7 +102,7 @@ func TestSortWithSimulatedDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(out.Recs) {
+	if !record.IsSorted(out.Vals) {
 		t.Fatal("output not sorted")
 	}
 	if stats.RunGenSim <= 0 || stats.MergeSim <= 0 {
@@ -240,8 +240,8 @@ func TestGenerateRunsBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !record.IsSorted(out.Recs) || st.MergeInputs != st.Runs {
-		t.Fatalf("Merge stats %+v over %d records", st, len(out.Recs))
+	if !record.IsSorted(out.Vals) || st.MergeInputs != st.Runs {
+		t.Fatalf("Merge stats %+v over %d records", st, len(out.Vals))
 	}
 	if names, _ := fs.Names(); len(names) != 0 {
 		t.Fatalf("files left after Merge: %v", names)
@@ -277,12 +277,12 @@ func TestSortEqualsGenerateRunsPlusMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(direct) != len(out.Recs) {
-		t.Fatalf("composed sort has %d records, direct %d", len(out.Recs), len(direct))
+	if len(direct) != len(out.Vals) {
+		t.Fatalf("composed sort has %d records, direct %d", len(out.Vals), len(direct))
 	}
 	for i := range direct {
-		if direct[i] != out.Recs[i] {
-			t.Fatalf("record %d differs: %v vs %v", i, direct[i], out.Recs[i])
+		if direct[i] != out.Vals[i] {
+			t.Fatalf("record %d differs: %v vs %v", i, direct[i], out.Vals[i])
 		}
 	}
 	if dstats.Runs != cstats.Runs || dstats.MergeOps != cstats.MergeOps || dstats.MergePasses != cstats.MergePasses {

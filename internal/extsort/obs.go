@@ -163,60 +163,45 @@ func (o *sortObs) syncIO(st storage.IOStats) {
 	o.io.diskBytes.Set(st.DiskBytes)
 }
 
-// meterReader counts records flowing out of a source into the input
-// counter and the progress reporter, at batch granularity on the batch
-// path.
-type meterReader[T any] struct {
+// inputMeters returns the records-in counter and the progress reporter
+// the sort's input feeds (both nil when disabled).
+func (o *sortObs) inputMeters() (*obs.Counter, *obs.Reporter) {
+	if o == nil {
+		return nil, nil
+	}
+	return o.recordsIn, o.rep
+}
+
+// countReader counts every element drained from the sort's input: the one
+// count behind Stats.Records and each durable boundary's input position.
+// Once its meters are set it also feeds the records-in counter and the
+// progress reporter, at batch granularity on the batch path.
+type countReader[T any] struct {
 	src stream.Reader[T]
 	br  stream.BatchReader[T]
+	n   int64
 	c   *obs.Counter
 	rep *obs.Reporter
 }
 
-func (m *meterReader[T]) Read() (T, error) {
-	v, err := m.src.Read()
+func (c *countReader[T]) Read() (T, error) {
+	v, err := c.src.Read()
 	if err == nil {
-		m.c.Add(1)
-		m.rep.Add(1)
+		c.add(1)
 	}
 	return v, err
 }
 
-func (m *meterReader[T]) ReadBatch(dst []T) (int, error) {
-	n, err := m.br.ReadBatch(dst)
+func (c *countReader[T]) ReadBatch(dst []T) (int, error) {
+	n, err := c.br.ReadBatch(dst)
 	if n > 0 {
-		m.c.Add(int64(n))
-		m.rep.Add(int64(n))
+		c.add(int64(n))
 	}
 	return n, err
 }
 
-// sizedMeterReader additionally forwards the source's Remaining.
-type sizedMeterReader[T any] struct {
-	meterReader[T]
-	sized stream.Sized
-}
-
-func (m *sizedMeterReader[T]) Remaining() int { return m.sized.Remaining() }
-
-// meterSource wraps src with a meterReader when the bundle has anything
-// to feed; otherwise returns src unchanged. It also moves the progress
-// reporter into the "generate" phase, sized from the source when known.
-func meterSource[T any](o *sortObs, src stream.Reader[T]) stream.Reader[T] {
-	if o == nil {
-		return src
-	}
-	total := int64(-1)
-	if s, ok := src.(stream.Sized); ok {
-		total = int64(s.Remaining())
-	}
-	o.rep.SetPhase("generate", total)
-	if o.recordsIn == nil && o.rep == nil {
-		return src
-	}
-	m := meterReader[T]{src: src, br: stream.AsBatchReader(src), c: o.recordsIn, rep: o.rep}
-	if s, ok := src.(stream.Sized); ok {
-		return &sizedMeterReader[T]{meterReader: m, sized: s}
-	}
-	return &m
+func (c *countReader[T]) add(n int64) {
+	c.n += n
+	c.c.Add(n)
+	c.rep.Add(n)
 }

@@ -9,9 +9,8 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestPolicyMatchesAlgorithm pins the policy engine's fixed 2wrs and rs
-// paths to the legacy Algorithm paths: same runs, same records, same
-// sorted output — the engine adds selection, not behaviour.
+// TestPolicyMatchesAlgorithm pins each legacy Algorithm to the policy it
+// aliases: same runs, same records, same sorted output, same name.
 func TestPolicyMatchesAlgorithm(t *testing.T) {
 	const n, m = 30000, 500
 	recs := gen.Generate(gen.Config{Kind: gen.Random, N: n, Seed: 21, Noise: 1000})
@@ -21,6 +20,7 @@ func TestPolicyMatchesAlgorithm(t *testing.T) {
 	}{
 		{TwoWayRS, policy.TwoWayRS},
 		{RS, policy.RS},
+		{LoadSortStore, policy.LSS},
 	}
 	for _, p := range pairs {
 		legacy, lst, err := SortSlice(recs, Config{Algorithm: p.alg, Memory: m}, RecordOps())
@@ -47,6 +47,40 @@ func TestPolicyMatchesAlgorithm(t *testing.T) {
 		}
 		if lst.Policy != p.alg.String() {
 			t.Fatalf("legacy sort reported Policy=%q, want %q", lst.Policy, p.alg)
+		}
+	}
+}
+
+// TestGenerationFingerprintGolden pins the manifest's Generation header for
+// the legacy Algorithm values and the policies they alias to strings
+// written by earlier releases, so a manifest left by an older build still
+// passes checkHeader and resumes.
+func TestGenerationFingerprintGolden(t *testing.T) {
+	const twrs = "page=4096 pages_per_file=4 twrs={Memory:64 Setup:both BufferFrac:0.02 Input:mean Output:random Seed:0}"
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Algorithm: TwoWayRS}, "policy=2wrs memory=64 elem=16 " + twrs},
+		{Config{Algorithm: RS}, "policy=rs memory=64 elem=16 " + twrs},
+		{Config{Algorithm: LoadSortStore}, "policy=lss memory=64 elem=16 " + twrs},
+		{Config{Policy: policy.TwoWayRS}, "policy=2wrs memory=64 elem=16 " + twrs},
+		{Config{Policy: policy.RS}, "policy=rs memory=64 elem=16 " + twrs},
+		{Config{Policy: policy.LSS}, "policy=lss memory=64 elem=16 " + twrs},
+		{Config{Policy: policy.Alternating}, "policy=alternating memory=64 elem=16 " + twrs},
+		{Config{Policy: policy.Quick}, "policy=quick memory=64 elem=16 " + twrs},
+	} {
+		c.cfg.Memory, c.cfg.Manifest = 64, true
+		cfg, err := prepare(c.cfg, RecordOps())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rset, err := newRunSet(vfs.NewMemFS(), cfg, RecordOps())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := generationFingerprint(cfg, RecordOps(), rset.em); got != c.want {
+			t.Errorf("%+v: fingerprint\n got %q\nwant %q", c.cfg, got, c.want)
 		}
 	}
 }

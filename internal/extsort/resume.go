@@ -10,14 +10,10 @@ import (
 
 	"repro/internal/manifest"
 	"repro/internal/obs"
-	"repro/internal/policy"
-	"repro/internal/rs"
 	"repro/internal/runio"
 	"repro/internal/storage"
 	"repro/internal/stream"
 	"repro/internal/vfs"
-
-	"repro/internal/core"
 )
 
 // This file implements durable (resumable) run generation: Config.Manifest
@@ -45,46 +41,6 @@ type recovered[T any] struct {
 	carried  []T            // generator state carried across the resume boundary
 	inputPos int64          // input records consumed up to the boundary
 	namerSeq int            // spill Namer position at the boundary
-}
-
-// countReader counts every record drained from the wrapped source; the
-// count at a run boundary is the durable input position.
-type countReader[T any] struct {
-	src stream.Reader[T]
-	br  stream.BatchReader[T]
-	n   int64
-}
-
-func (c *countReader[T]) Read() (T, error) {
-	v, err := c.src.Read()
-	if err == nil {
-		c.n++
-	}
-	return v, err
-}
-
-func (c *countReader[T]) ReadBatch(dst []T) (int, error) {
-	n, err := c.br.ReadBatch(dst)
-	c.n += int64(n)
-	return n, err
-}
-
-// sizedCountReader additionally forwards the source's Remaining.
-type sizedCountReader[T any] struct {
-	*countReader[T]
-	sized stream.Sized
-}
-
-func (c *sizedCountReader[T]) Remaining() int { return c.sized.Remaining() }
-
-// countSource wraps src in a counting reader and returns it with a pointer
-// to the live count.
-func countSource[T any](src stream.Reader[T]) (stream.Reader[T], *int64) {
-	c := &countReader[T]{src: src, br: stream.AsBatchReader(src)}
-	if s, ok := src.(stream.Sized); ok {
-		return &sizedCountReader[T]{countReader: c, sized: s}, &c.n
-	}
-	return c, &c.n
 }
 
 // skipInput drains exactly n records from src, which re-serves input a
@@ -117,17 +73,6 @@ func skipInput[T any](src stream.Reader[T], n int64) error {
 	return nil
 }
 
-// validateDurable rejects configurations durable mode cannot checkpoint.
-func validateDurable(cfg Config) error {
-	if cfg.Policy == policy.Auto {
-		return fmt.Errorf("extsort: the auto policy's adaptive probe state cannot be checkpointed; durable (Manifest/Resume) sorts need a fixed policy or a legacy Algorithm")
-	}
-	if cfg.Memory <= 0 {
-		return fmt.Errorf("extsort: memory must be positive, got %d", cfg.Memory)
-	}
-	return nil
-}
-
 // compressionName returns the canonical spill framing name for the header.
 func compressionName(cfg Config) string {
 	comp, err := storage.ParseCompression(cfg.Storage.Compression)
@@ -141,10 +86,6 @@ func compressionName(cfg Config) string {
 // deterministic run sequence. Two invocations with equal fingerprints (and
 // equal inputs) generate identical runs; anything else must not resume.
 func generationFingerprint[T any](cfg Config, ops Ops[T], em *runio.Emitter[T]) string {
-	pol := cfg.Algorithm.String()
-	if cfg.Policy != policy.None {
-		pol = cfg.Policy.String()
-	}
 	page, pages := em.PageSize, em.PagesPerFile
 	if page == 0 {
 		page = runio.DefaultPageSize
@@ -153,7 +94,7 @@ func generationFingerprint[T any](cfg Config, ops Ops[T], em *runio.Emitter[T]) 
 		pages = runio.DefaultPagesPerFile
 	}
 	return fmt.Sprintf("policy=%s memory=%d elem=%d page=%d pages_per_file=%d twrs=%+v",
-		pol, cfg.Memory, ops.elementBytes(), page, pages, cfg.TWRS)
+		cfg.Policy, cfg.Memory, ops.elementBytes(), page, pages, cfg.TWRS)
 }
 
 // durableHeader builds the manifest identity record for this invocation.
@@ -186,225 +127,11 @@ func checkHeader[T any](h manifest.Header, cfg Config, ops Ops[T], em *runio.Emi
 	return nil
 }
 
-// durableSetup builds the RunSet shell — storage, observability, emitter —
-// shared by fresh durable generation, Resume and OpenRunSet. It mirrors
-// GenerateRuns' setup exactly so the spill layout is identical.
-func durableSetup[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
-	store, err := storage.New(fs, cfg.Storage)
-	if err != nil {
-		return nil, err
-	}
-	o := newSortObs(cfg)
-	store = storage.Traced(store, o.tracer())
-	em := runio.NewEmitterOn(store, cfg.Prefix, ops.Codec, ops.Less)
-	em.PageSize = cfg.PageSize
-	em.PagesPerFile = cfg.PagesPerFile
-	if em.PagesPerFile == 0 && cfg.Clock == nil {
-		em.PagesPerFile = backwardPages(cfg.Memory, ops.elementBytes(), cfg.PageSize)
-	}
-	em.Async = cfg.Parallelism > 1
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() time.Duration { return 0 }
-	}
-	rset := &RunSet[T]{
-		store: store, em: em, cfg: cfg, ops: ops, clock: clock, o: o,
-		fs: fs, manifestName: manifest.Name(cfg.Prefix),
-	}
-	rset.stats.Storage = store.String()
-	return rset, nil
-}
-
-// abortSetup unwinds a durableSetup whose sort never started.
+// abortSetup stops the progress reporter of a RunSet shell that is being
+// abandoned without a Discard.
 func (r *RunSet[T]) abortSetup(err error) (*RunSet[T], error) {
 	r.o.reporter().Stop()
 	return nil, err
-}
-
-// newBoundaryGenerator constructs a fresh run generator positioned at run
-// boundary runIdx. Durable mode restarts the generator at every boundary so
-// its entire state is the explicit carried snapshot; the alternating
-// policy's direction is recovered from the run index parity.
-func newBoundaryGenerator[T any](cfg Config, runIdx int, src stream.Reader[T], em *runio.Emitter[T], key func(T) float64) (policy.Generator[T], error) {
-	if cfg.Policy != policy.None {
-		return policy.NewFixed(cfg.Policy, runIdx%2 == 1, src, em,
-			policy.Config{Memory: cfg.Memory, TWRS: cfg.TWRS}, key)
-	}
-	switch cfg.Algorithm {
-	case RS:
-		return rs.NewStepper(src, em, cfg.Memory)
-	case LoadSortStore:
-		return rs.NewLSSStepper(src, em, cfg.Memory)
-	case TwoWayRS:
-		return core.NewStepper(src, em, cfg.TWRS, key)
-	}
-	return nil, fmt.Errorf("extsort: unknown algorithm %v", cfg.Algorithm)
-}
-
-// generateManifest is the durable counterpart of GenerateRuns' generation
-// loop: it checkpoints the generator at every run boundary, appends a
-// manifest record per boundary, and commits the manifest when the input is
-// exhausted. With rec set it continues a recovered pass instead of starting
-// fresh. On error the spill files and manifest stay on disk for Resume.
-func generateManifest[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T], rec *recovered[T]) (*RunSet[T], error) {
-	entry := time.Now()
-	cfg = cfg.withDefaults()
-	if err := ops.validate(); err != nil {
-		return nil, err
-	}
-	if err := validateDurable(cfg); err != nil {
-		return nil, err
-	}
-	rset, err := durableSetup(fs, cfg, ops)
-	if err != nil {
-		return nil, err
-	}
-	return rset.generateDurable(src, rec, entry)
-}
-
-// generateDurable runs the checkpointed generation loop on a prepared
-// RunSet shell.
-func (r *RunSet[T]) generateDurable(src stream.Reader[T], rec *recovered[T], entry time.Time) (*RunSet[T], error) {
-	cfg, ops, em, o := r.cfg, r.ops, r.em, r.o
-	em.Checksums = true
-
-	src, keyed, err := applyKeyCodec(src, em, ops)
-	if err != nil {
-		return r.abortSetup(err)
-	}
-	r.stats.Keyed = keyed
-
-	var man *manifest.Writer
-	hdr := durableHeader(cfg, ops, em, keyed)
-	if rec == nil {
-		man, err = manifest.Create(r.fs, r.manifestName, hdr)
-	} else {
-		man, err = manifest.Rewrite(r.fs, r.manifestName, hdr, rec.manRuns)
-	}
-	if err != nil {
-		return r.abortSetup(err)
-	}
-
-	polName := cfg.Algorithm.String()
-	if cfg.Policy != policy.None {
-		polName = cfg.Policy.String()
-	}
-	gsp := o.tracer().Start("generate",
-		obs.Str("policy", polName), obs.Bool("keyed", keyed), obs.Bool("durable", true))
-	fail := func(err error) (*RunSet[T], error) {
-		gsp.End(obs.Str("error", err.Error()))
-		man.Close()
-		o.reporter().Stop()
-		// Unlike the non-durable path there is no Discard here: the spill
-		// files and manifest are exactly the state Resume needs. But an
-		// abandoned run writer's background flusher must still be joined,
-		// or it would keep appending to the surviving files while a later
-		// Resume reads them.
-		em.AbortOpen()
-		return nil, err
-	}
-
-	counted, pos := countSource(src)
-	var (
-		carried []T
-		carries []string
-		runIdx  int
-	)
-	if rec != nil {
-		rsp := o.tracer().Start("resume",
-			obs.Int("runs_recovered", int64(len(rec.runs))), obs.Int("input_pos", rec.inputPos))
-		if err := skipInput(counted, rec.inputPos); err != nil {
-			rsp.End(obs.Str("error", err.Error()))
-			return fail(err)
-		}
-		rsp.End()
-		r.runs = append(r.runs, rec.runs...)
-		r.policies = append(r.policies, rec.policies...)
-		for _, mr := range rec.manRuns {
-			if mr.CarryName != "" {
-				carries = append(carries, mr.CarryName)
-			}
-		}
-		for _, run := range rec.runs {
-			if !run.Concatenable {
-				r.stats.OverlapRuns++
-			}
-		}
-		carried = rec.carried
-		runIdx = len(rec.runs)
-		em.Namer.SetSeq(rec.namerSeq)
-		r.stats.RunsRecovered = len(rec.runs)
-		o.observeRecovered(len(rec.runs))
-	}
-
-	gen := meterSource(o, counted)
-	simStart, wallStart := r.clock(), time.Now()
-	for {
-		var cur stream.Reader[T] = gen
-		if len(carried) > 0 {
-			cur = &pushback[T]{buf: carried, rest: gen}
-		}
-		g, err := newBoundaryGenerator(cfg, runIdx, cur, em, ops.Key)
-		if err != nil {
-			return fail(err)
-		}
-		sp := gsp.Start("run", obs.Str("policy", polName))
-		run, ok, err := g.NextRun()
-		if err != nil {
-			sp.Drop()
-			return fail(err)
-		}
-		if !ok {
-			sp.Drop()
-			break
-		}
-		sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
-		carried = g.Carry()
-		mr, err := r.commitBoundary(man, run, carried, polName, *pos)
-		if err != nil {
-			return fail(err)
-		}
-		if mr.CarryName != "" {
-			carries = append(carries, mr.CarryName)
-		}
-		r.runs = append(r.runs, run)
-		r.policies = append(r.policies, polName)
-		if !run.Concatenable {
-			r.stats.OverlapRuns++
-		}
-		runIdx++
-	}
-	// Commit before deleting carry snapshots: a crash between the two
-	// leaves a committed manifest whose runs are all complete, which
-	// recovers fully; the stale carries are swept on the next resume.
-	if err := man.Commit(*pos); err != nil {
-		return fail(err)
-	}
-	if err := man.Close(); err != nil {
-		return fail(err)
-	}
-	for _, name := range carries {
-		r.store.Remove(name)
-	}
-	em.Checksums = false // the merge phase does not update the manifest
-
-	r.stats.Records = *pos
-	r.stats.Policy = polName
-	r.stats.Runs = len(r.runs)
-	if r.stats.Runs > 0 {
-		r.stats.AvgRunLength = float64(r.stats.Records) / float64(r.stats.Runs)
-	}
-	r.stats.RunGenWall = time.Since(wallStart)
-	r.stats.RunGenSim = r.clock() - simStart
-	r.stats.IO = r.store.Stats()
-	r.stats.Elapsed = time.Since(entry)
-	r.stats.Phases = []PhaseStat{{Name: "generate", Wall: r.stats.RunGenWall}}
-	gsp.End(obs.Int("runs", int64(r.stats.Runs)), obs.Int("records", r.stats.Records))
-	for _, run := range r.runs {
-		o.observeRun(run.Records)
-	}
-	o.finishGenerate(r.stats, r.stats.IO)
-	return r, nil
 }
 
 // commitBoundary makes one run boundary durable: it snapshots the carried
@@ -564,35 +291,20 @@ func referencedNames(runs []manifest.Run) map[string]bool {
 // adoptCommitted fills a RunSet shell from a fully validated committed
 // manifest, recovering every run without touching the input.
 func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) *RunSet[T] {
-	o := r.o
-	sp := o.tracer().Start("resume",
+	sp := r.o.tracer().Start("resume",
 		obs.Int("runs_recovered", int64(len(st.Runs))), obs.Bool("committed", true))
 	for _, mr := range st.Runs {
-		run := toRunioRun(mr)
-		r.runs = append(r.runs, run)
+		r.runs = append(r.runs, toRunioRun(mr))
 		r.policies = append(r.policies, mr.Policy)
-		if !run.Concatenable {
-			r.stats.OverlapRuns++
-		}
-		o.observeRun(run.Records)
-	}
-	r.stats.Records = st.Commit.Records
-	r.stats.Runs = len(r.runs)
-	if r.stats.Runs > 0 {
-		r.stats.AvgRunLength = float64(r.stats.Records) / float64(r.stats.Runs)
 	}
 	r.stats.RunsRecovered = len(r.runs)
 	if len(st.Runs) > 0 {
 		r.stats.Policy = st.Runs[0].Policy
 	}
 	r.stats.Keyed = st.Header.KeyCodec != ""
-	r.stats.RunGenWall = time.Since(entry)
-	r.stats.IO = r.store.Stats()
-	r.stats.Elapsed = time.Since(entry)
-	r.stats.Phases = []PhaseStat{{Name: "resume", Wall: r.stats.RunGenWall}}
 	sp.End()
-	o.observeRecovered(len(r.runs))
-	o.finishGenerate(r.stats, r.stats.IO)
+	r.o.observeRecovered(len(r.runs))
+	r.seal(st.Commit.Records, "resume", time.Since(entry), entry)
 	return r
 }
 
@@ -613,18 +325,16 @@ func (r *RunSet[T]) adoptCommitted(st *manifest.State, entry time.Time) *RunSet[
 // wrong output is never produced.
 func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
-	cfg = cfg.withDefaults()
-	if err := ops.validate(); err != nil {
-		return nil, err
-	}
-	if err := validateDurable(cfg); err != nil {
+	cfg.Manifest = true
+	cfg, err := prepare(cfg, ops)
+	if err != nil {
 		return nil, err
 	}
 	st, err := manifest.Load(fs, manifest.Name(cfg.Prefix))
 	if err != nil {
 		return nil, err
 	}
-	rset, err := durableSetup(fs, cfg, ops)
+	rset, err := newRunSet(fs, cfg, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +426,7 @@ func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*Ru
 			rset.store.Remove(name)
 		}
 	}
-	return rset.generateDurable(src, rec, entry)
+	return rset.generate(src, rec, entry)
 }
 
 // OpenRunSet adopts the run set of a completed (committed) Manifest-mode
@@ -727,11 +437,9 @@ func Resume[T any](src stream.Reader[T], fs vfs.FS, cfg Config, ops Ops[T]) (*Ru
 // with missing or mismatched files is an error rather than a partial set.
 func OpenRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	entry := time.Now()
-	cfg = cfg.withDefaults()
-	if err := ops.validate(); err != nil {
-		return nil, err
-	}
-	if err := validateDurable(cfg); err != nil {
+	cfg.Manifest = true
+	cfg, err := prepare(cfg, ops)
+	if err != nil {
 		return nil, err
 	}
 	st, err := manifest.Load(fs, manifest.Name(cfg.Prefix))
@@ -741,7 +449,7 @@ func OpenRunSet[T any](fs vfs.FS, cfg Config, ops Ops[T]) (*RunSet[T], error) {
 	if !st.Committed {
 		return nil, fmt.Errorf("%w: %s", manifest.ErrNotCommitted, manifest.Name(cfg.Prefix))
 	}
-	rset, err := durableSetup(fs, cfg, ops)
+	rset, err := newRunSet(fs, cfg, ops)
 	if err != nil {
 		return nil, err
 	}

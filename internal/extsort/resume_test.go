@@ -116,10 +116,30 @@ func durableBaseline[T any](t *testing.T, vals []T, cfg Config, ops Ops[T]) ([]T
 // TestResumeAtEveryRunBoundary kills generation at every run boundary of a
 // durable sort and resumes: the output must be byte-identical to the
 // uninterrupted sort, and exactly the boundaries committed before the kill
-// must be recovered rather than regenerated.
+// must be recovered rather than regenerated. The 2WRS matrix runs at the
+// top level; every other fixed generator, and the legacy Algorithm alias,
+// runs the same matrix as a subtest, covering each kind's restart from its
+// carried state (alternating restarts by run parity).
 func TestResumeAtEveryRunBoundary(t *testing.T) {
+	resumeAtEveryBoundary(t, durableCfg(64))
+	for _, cfg := range []Config{
+		{Policy: policy.RS},
+		{Policy: policy.Alternating},
+		{Policy: policy.Quick},
+		{Policy: policy.LSS},
+		{Algorithm: LoadSortStore},
+	} {
+		name := cfg.Policy.String()
+		if cfg.Policy == policy.None {
+			name = "algorithm_" + cfg.Algorithm.String()
+		}
+		cfg.Memory, cfg.Manifest = 64, true
+		t.Run(name, func(t *testing.T) { resumeAtEveryBoundary(t, cfg) })
+	}
+}
+
+func resumeAtEveryBoundary(t *testing.T, cfg Config) {
 	recs := testRecords(1500, 1)
-	cfg := durableCfg(64)
 	want, st := durableBaseline(t, recs, cfg, RecordOps())
 	if len(st.Runs) < 3 {
 		t.Fatalf("baseline produced only %d runs; matrix needs more", len(st.Runs))
@@ -176,6 +196,35 @@ func TestResumeAtEveryRunBoundary(t *testing.T) {
 				t.Fatalf("resumed output differs from uninterrupted sort (len %d vs %d)", len(got), len(want))
 			}
 		})
+	}
+}
+
+// TestDurableRestartMatchesPlainRuns: for every generator whose whole
+// state is its carry — all fixed kinds but 2WRS, whose random source and
+// input FIFO a restart resets — restarting at each durable boundary must
+// reproduce the plain sort's run sequence exactly. For alternating this
+// pins the restart direction to the run index parity.
+func TestDurableRestartMatchesPlainRuns(t *testing.T) {
+	recs := testRecords(3000, 7)
+	for _, kind := range []policy.Kind{policy.RS, policy.LSS, policy.Alternating, policy.Quick} {
+		cfg := Config{Policy: kind, Memory: 64}
+		lengths := func(cfg Config) []int64 {
+			rset, err := GenerateRuns(record.NewSliceReader(recs), vfs.NewMemFS(), cfg, RecordOps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rset.Discard()
+			var out []int64
+			for _, run := range rset.Runs() {
+				out = append(out, run.Records)
+			}
+			return out
+		}
+		plain := lengths(cfg)
+		cfg.Manifest = true
+		if durable := lengths(cfg); !slices.Equal(plain, durable) {
+			t.Errorf("%v: durable run lengths %v, plain %v", kind, durable, plain)
+		}
 	}
 }
 

@@ -217,10 +217,10 @@ func TestMergeSinglePass(t *testing.T) {
 	if stats.RecordsMoved != 0 {
 		t.Fatalf("single pass should not move records through intermediates, moved %d", stats.RecordsMoved)
 	}
-	if !record.IsSorted(out.Recs) {
+	if !record.IsSorted(out.Vals) {
 		t.Fatal("merged output not sorted")
 	}
-	if !record.NewMultiset(out.Recs).Equal(record.NewMultiset(all)) {
+	if !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
 		t.Fatal("merge lost records")
 	}
 	// All run files must be deleted after the merge.
@@ -243,10 +243,10 @@ func TestMergeMultiPass(t *testing.T) {
 	if stats.Passes != 3 {
 		t.Fatalf("passes = %d, want 3", stats.Passes)
 	}
-	if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
+	if !record.IsSorted(out.Vals) || len(out.Vals) != len(all) {
 		t.Fatal("multi-pass merge output wrong")
 	}
-	if !record.NewMultiset(out.Recs).Equal(record.NewMultiset(all)) {
+	if !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
 		t.Fatal("multi-pass merge lost records")
 	}
 	names, _ := fs.Names()
@@ -267,7 +267,7 @@ func TestMergeSingleRunPassThrough(t *testing.T) {
 	if stats.Passes != 0 || stats.Merges != 0 {
 		t.Fatalf("single run should stream through, stats = %+v", stats)
 	}
-	if len(out.Recs) != len(all) {
+	if len(out.Vals) != len(all) {
 		t.Fatal("records lost")
 	}
 }
@@ -277,7 +277,7 @@ func TestMergeNoInputs(t *testing.T) {
 	em := runio.RecordEmitter(fs, "m")
 	var out record.SliceWriter
 	stats, err := Merge(em, nil, &out, Config{FanIn: 4, MemoryBytes: 4096})
-	if err != nil || stats.Inputs != 0 || len(out.Recs) != 0 {
+	if err != nil || stats.Inputs != 0 || len(out.Vals) != 0 {
 		t.Fatalf("empty merge = (%+v, %v)", stats, err)
 	}
 }
@@ -337,10 +337,10 @@ func TestPolyphaseRecordLevel(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append(append([]record.Record(nil), allA...), allB...)
-	if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
-		t.Fatalf("polyphase output wrong: %d records", len(out.Recs))
+	if !record.IsSorted(out.Vals) || len(out.Vals) != len(all) {
+		t.Fatalf("polyphase output wrong: %d records", len(out.Vals))
 	}
-	if !record.NewMultiset(out.Recs).Equal(record.NewMultiset(all)) {
+	if !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
 		t.Fatal("polyphase lost records")
 	}
 }
@@ -358,7 +358,7 @@ func TestPolyphaseDegenerateDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append(append([]record.Record(nil), allA...), allB...)
-	if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
+	if !record.IsSorted(out.Vals) || len(out.Vals) != len(all) {
 		t.Fatal("degenerate polyphase output wrong")
 	}
 }
@@ -430,10 +430,10 @@ func TestMergeParallelWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !record.IsSorted(out.Recs) || len(out.Recs) != len(all) {
+		if !record.IsSorted(out.Vals) || len(out.Vals) != len(all) {
 			t.Fatalf("workers %d: parallel merge output wrong", workers)
 		}
-		if !record.NewMultiset(out.Recs).Equal(record.NewMultiset(all)) {
+		if !record.NewMultiset(out.Vals).Equal(record.NewMultiset(all)) {
 			t.Fatalf("workers %d: parallel merge lost records", workers)
 		}
 		// 37 runs at fan-in 3 still takes 18 merge operations regardless of

@@ -11,11 +11,11 @@ import (
 	"repro/internal/stream"
 )
 
-// Generator is the common per-run interface every concrete run generator
-// offers the policy layer: NextRun writes exactly one run through the
-// configured emitter (ok=false at exhaustion), and Carry surrenders every
-// element still buffered — heaps, FIFOs, read-ahead — so a successor
-// generator can take over at a run boundary without losing data.
+// Generator is the per-run interface of every run generator New builds:
+// NextRun writes exactly one run through the configured emitter (ok=false
+// at exhaustion), and Carry surrenders every element still buffered —
+// heaps, FIFOs, read-ahead — so a successor generator can take over at a
+// run boundary without losing data.
 type Generator[T any] interface {
 	NextRun() (run runio.Run, ok bool, err error)
 	Carry() []T
@@ -71,97 +71,56 @@ func (c Config) twrs() core.Config {
 	return t
 }
 
-// Result summarises a policy-driven run-generation pass.
-type Result struct {
-	// Runs lists the generated runs in creation order.
-	Runs []runio.Run
-	// Policies names the generator that produced each run: Policies[i]
-	// made Runs[i].
-	Policies []Kind
-	// Records is the total number of input elements consumed.
-	Records int64
-	// Switches counts mid-stream generator changes (always 0 for fixed
-	// policies).
-	Switches int
-}
-
-// newGenerator constructs the concrete generator for a fixed policy kind.
-// down selects the Alternating policy's first run direction.
-func newGenerator[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Generator[T], error) {
+// New constructs the run generator for kind over src, writing runs
+// through em. It is the one place a policy kind becomes a generator: the
+// driver's generation loop calls it once per sort, or once per run
+// boundary when durable mode restarts the generator from its carried
+// state. down starts the Alternating policy on a descending run (a
+// restarted alternating generator alternates by run parity); the other
+// kinds ignore it. key optionally projects elements onto the real line for
+// the 2WRS numeric heuristics; nil selects the comparator-only fallbacks.
+// Auto probes a prefix of src here and returns a generator that also
+// implements Adaptive.
+func New[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Generator[T], error) {
+	if cfg.Memory <= 0 {
+		return nil, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
+	}
 	switch kind {
 	case TwoWayRS:
 		return core.NewStepper(src, em, cfg.twrs(), key)
 	case RS:
 		return rs.NewStepper(src, em, cfg.Memory)
+	case LSS:
+		return rs.NewLSSStepper(src, em, cfg.Memory)
 	case Alternating:
 		return rs.NewAltStepper(src, em, cfg.Memory, down)
 	case Quick:
 		return rs.NewQuickStepper(src, em, cfg.Memory)
-	default:
-		return nil, fmt.Errorf("policy: %v is not a concrete generator", kind)
-	}
-}
-
-// NewFixed constructs the concrete generator for one of the four fixed
-// policy kinds, exposed for drivers that step run boundaries themselves —
-// the resumable (manifest) generation path restarts a fresh generator at
-// every boundary so the run sequence is a deterministic function of the
-// input and the configuration. down selects the Alternating policy's next
-// run direction (a restarted alternating generator alternates by run
-// parity); the other kinds ignore it. Auto is not constructible here: its
-// adaptive state (rolling window, visited set) cannot be checkpointed.
-func NewFixed[T any](kind Kind, down bool, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Generator[T], error) {
-	return newGenerator(kind, down, src, em, cfg, key)
-}
-
-// Generate runs the given policy over src, writing runs through em. key
-// optionally projects elements onto the real line for the 2WRS numeric
-// heuristics; nil selects the comparator-only fallbacks.
-func Generate[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
-	if cfg.Memory <= 0 {
-		return Result{}, fmt.Errorf("policy: memory must be positive, got %d", cfg.Memory)
-	}
-	switch kind {
-	case TwoWayRS, RS, Alternating, Quick:
-		return generateFixed(kind, src, em, cfg, key)
 	case Auto:
-		return generateAuto(src, em, cfg, key)
+		return newAuto(src, em, cfg, key)
 	default:
-		return Result{}, fmt.Errorf("policy: unknown policy %v (valid policies: %v)", kind, Names())
+		return nil, fmt.Errorf("policy: unknown policy %v (valid policies: %v)", kind, Names())
 	}
 }
 
-// generateFixed drains src through a single generator.
-func generateFixed[T any](kind Kind, src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
-	ob := newObserver(src, em.Less, 0)
-	gen, err := newGenerator(kind, false, ob, em, cfg, key)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	for {
-		sp := cfg.Span.Start("run", obs.Str("policy", kind.String()))
-		run, ok, err := gen.NextRun()
-		res.Records = ob.count
-		if err != nil || !ok {
-			sp.Drop()
-			return res, err
-		}
-		sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
-		res.Runs = append(res.Runs, run)
-		res.Policies = append(res.Policies, kind)
-	}
+// Adaptive is implemented by the Auto generator, whose runs come from a
+// concrete generator it may replace at any run boundary.
+type Adaptive interface {
+	// Kind names the concrete policy that makes the next run.
+	Kind() Kind
+	// Switches counts the mid-stream generator changes so far.
+	Switches() int
 }
 
 // shortRunSlack is how far beyond the memory budget a run may stretch and
 // still count as "degenerate" for Auto's feedback rule.
 func shortRunSlack(memory int) int64 { return int64(memory) + int64(memory)/8 }
 
-// generateAuto is the adaptive engine. It probes a memory-sized prefix,
-// picks a generator, and re-decides at every run boundary from a rolling
-// window of recent input: a decisive regime change drains the current
-// generator's buffered state into the successor (Generator.Carry) so the
-// switch is exact — no element is lost or reordered across it.
+// auto is the adaptive generator. It probes a memory-sized prefix, picks a
+// generator, and re-decides at every run boundary from a rolling window of
+// recent input: a decisive regime change drains the current generator's
+// buffered state into the successor (Generator.Carry) so the switch is
+// exact — no element is lost or reordered across it.
 //
 // Two guards keep it honest. Hysteresis: a switch needs a decisive rule
 // (choose's confident result) and at least one window of fresh input since
@@ -171,81 +130,106 @@ func shortRunSlack(memory int) int64 { return int64(memory) + int64(memory)/8 }
 // degenerates — for the rest of the stream. A separate feedback rule drops
 // to Quick when the last few runs came out at bare memory size with no
 // directional structure: the heap is buying nothing, so stop paying for it.
-func generateAuto[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (Result, error) {
-	less := em.Less
-	window := cfg.window()
-	ob := newObserver(src, less, window)
+type auto[T any] struct {
+	em  *runio.Emitter[T]
+	cfg Config
+	key func(T) float64
+	ob  *observer[T]
+	in  *stream.Pushback[T] // the probe prefix and switch carries ahead of ob
 
-	prefix, err := readPrefix[T](ob, cfg.probeRecords())
-	if err != nil {
-		return Result{}, err
-	}
-	kind, down, _ := choose(Measure(prefix, less))
-
-	var res Result
-	var cur stream.Reader[T] = newPushback[T](prefix, ob)
+	gen  Generator[T] // nil until the next run needs it
+	kind Kind
+	down bool
 	// nextEval throttles the rolling measurement: re-deciding costs a ring
 	// copy plus the inversion subsample, so it runs at most once per window
 	// of fresh input — which is also the switching hysteresis.
-	nextEval := ob.count + int64(window)
-	shortRuns := 0
-	locked := false
-	visited := map[Kind]bool{kind: true}
+	nextEval  int64
+	shortRuns int
+	locked    bool
+	visited   map[Kind]bool
+	switches  int
+}
 
-	for {
-		gen, err := newGenerator(kind, down, cur, em, cfg, key)
+func newAuto[T any](src stream.Reader[T], em *runio.Emitter[T], cfg Config, key func(T) float64) (*auto[T], error) {
+	ob := newObserver(src, em.Less, cfg.window())
+	prefix, err := readPrefix[T](ob, cfg.probeRecords())
+	if err != nil {
+		return nil, err
+	}
+	kind, down, _ := choose(Measure(prefix, em.Less))
+	return &auto[T]{
+		em: em, cfg: cfg, key: key, ob: ob, in: stream.NewPushback(prefix, ob),
+		kind: kind, down: down,
+		nextEval: ob.count + int64(len(ob.ring)),
+		visited:  map[Kind]bool{kind: true},
+	}, nil
+}
+
+// Kind names the concrete policy that makes the next run.
+func (a *auto[T]) Kind() Kind { return a.kind }
+
+// Switches counts the mid-stream generator changes so far.
+func (a *auto[T]) Switches() int { return a.switches }
+
+// Carry surrenders the current generator's state and any input queued
+// ahead of the source.
+func (a *auto[T]) Carry() []T {
+	var c []T
+	if a.gen != nil {
+		c = a.gen.Carry()
+	}
+	return append(c, a.in.Unread()...)
+}
+
+// NextRun writes one run through the current generator, then decides
+// which generator makes the next one.
+func (a *auto[T]) NextRun() (runio.Run, bool, error) {
+	if a.gen == nil {
+		g, err := New(a.kind, a.down, a.in, a.em, a.cfg, a.key)
 		if err != nil {
-			return res, err
+			return runio.Run{}, false, err
 		}
-		for {
-			sp := cfg.Span.Start("run", obs.Str("policy", kind.String()))
-			run, ok, err := gen.NextRun()
-			if err != nil {
-				sp.Drop()
-				res.Records = ob.count
-				return res, err
-			}
-			if !ok {
-				sp.Drop()
-				res.Records = ob.count
-				return res, nil
-			}
-			sp.End(obs.Int("records", run.Records), obs.Bool("concatenable", run.Concatenable))
-			res.Runs = append(res.Runs, run)
-			res.Policies = append(res.Policies, kind)
-			if run.Records <= shortRunSlack(cfg.Memory) {
-				shortRuns++
-			} else {
-				shortRuns = 0
-			}
-			if locked || ob.count < nextEval {
-				continue
-			}
-			nextEval = ob.count + int64(window)
-			want, wantDown, confident := chooseRolling(ob.stats(), kind, shortRuns)
-			if !confident || want == kind {
-				continue
-			}
-			if visited[want] {
-				// The regime oscillates faster than the window resolves:
-				// settle on the generalist for good.
-				want, wantDown, locked = TwoWayRS, false, true
-				if want == kind {
-					continue
-				}
-			}
-			visited[want] = true
-			cfg.Span.Event("policy_switch",
-				obs.Str("from", kind.String()), obs.Str("to", want.String()),
-				obs.Int("record", ob.count))
-			kind, down = want, wantDown
-			cur = newPushback(gen.Carry(), cur)
-			nextEval = ob.count + int64(window)
-			shortRuns = 0
-			res.Switches++
-			break
+		a.gen = g
+	}
+	run, ok, err := a.gen.NextRun()
+	if err == nil && ok {
+		a.adapt(run.Records)
+	}
+	return run, ok, err
+}
+
+// adapt applies the switching rules after a run of n records.
+func (a *auto[T]) adapt(n int64) {
+	if n <= shortRunSlack(a.cfg.Memory) {
+		a.shortRuns++
+	} else {
+		a.shortRuns = 0
+	}
+	if a.locked || a.ob.count < a.nextEval {
+		return
+	}
+	a.nextEval = a.ob.count + int64(len(a.ob.ring))
+	want, wantDown, confident := chooseRolling(a.ob.stats(), a.kind, a.shortRuns)
+	if !confident || want == a.kind {
+		return
+	}
+	if a.visited[want] {
+		// The regime oscillates faster than the window resolves: settle
+		// on the generalist for good.
+		want, wantDown, a.locked = TwoWayRS, false, true
+		if want == a.kind {
+			return
 		}
 	}
+	a.visited[want] = true
+	a.cfg.Span.Event("policy_switch",
+		obs.Str("from", a.kind.String()), obs.Str("to", want.String()),
+		obs.Int("record", a.ob.count))
+	a.kind, a.down = want, wantDown
+	a.in.Push(a.gen.Carry())
+	a.gen = nil
+	a.shortRuns = 0
+	a.switches++
 }
 
 // chooseRolling applies the probe's decision rules to the rolling window,
@@ -291,7 +275,7 @@ func readPrefix[T any](r stream.BatchReader[T], n int) ([]T, error) {
 
 // observer wraps the raw source, counting every element handed out and
 // retaining the most recent `window` of them in a ring for rolling order
-// statistics. Elements re-fed through pushbacks after a policy switch do
+// statistics. Elements re-fed through the pushback after a policy switch do
 // not pass through it again, so the count is exact and the window always
 // reflects fresh input.
 type observer[T any] struct {
@@ -304,41 +288,21 @@ type observer[T any] struct {
 }
 
 func newObserver[T any](src stream.Reader[T], less func(a, b T) bool, window int) *observer[T] {
-	o := &observer[T]{br: stream.AsBatchReader(src), less: less}
-	if window > 0 {
-		o.ring = make([]T, window)
-	}
-	return o
+	return &observer[T]{br: stream.AsBatchReader(src), less: less, ring: make([]T, window)}
 }
 
 // ReadBatch forwards to the source and notes what passed through.
 func (o *observer[T]) ReadBatch(dst []T) (int, error) {
 	n, err := o.br.ReadBatch(dst)
 	o.count += int64(n)
-	if o.ring != nil {
-		for _, v := range dst[:n] {
-			o.ring[o.rpos] = v
-			o.rpos = (o.rpos + 1) % len(o.ring)
-			if o.rn < len(o.ring) {
-				o.rn++
-			}
+	for _, v := range dst[:n] {
+		o.ring[o.rpos] = v
+		o.rpos = (o.rpos + 1) % len(o.ring)
+		if o.rn < len(o.ring) {
+			o.rn++
 		}
 	}
 	return n, err
-}
-
-// Read is the element-protocol fallback; consumers all fetch in batches.
-func (o *observer[T]) Read() (T, error) {
-	var one [1]T
-	n, err := o.ReadBatch(one[:])
-	if n == 1 {
-		return one[0], nil
-	}
-	if err == nil {
-		err = io.EOF
-	}
-	var zero T
-	return zero, err
 }
 
 // stats measures the ring's contents in arrival order.
@@ -351,42 +315,4 @@ func (o *observer[T]) stats() Stats {
 		vals = append(vals, o.ring[:o.rn]...)
 	}
 	return Measure(vals, o.less)
-}
-
-// pushback prepends a queue of elements to a tail reader. Policy switches
-// stack them: each switch pushes the outgoing generator's Carry in front of
-// whatever the successor would have read next.
-type pushback[T any] struct {
-	queue []T
-	pos   int
-	tail  stream.BatchReader[T]
-}
-
-func newPushback[T any](queue []T, tail stream.Reader[T]) *pushback[T] {
-	return &pushback[T]{queue: queue, tail: stream.AsBatchReader(tail)}
-}
-
-// ReadBatch serves the queue first, then the tail.
-func (p *pushback[T]) ReadBatch(dst []T) (int, error) {
-	if p.pos < len(p.queue) {
-		n := copy(dst, p.queue[p.pos:])
-		p.pos += n
-		return n, nil
-	}
-	p.queue = nil
-	return p.tail.ReadBatch(dst)
-}
-
-// Read is the element-protocol fallback.
-func (p *pushback[T]) Read() (T, error) {
-	var one [1]T
-	n, err := p.ReadBatch(one[:])
-	if n == 1 {
-		return one[0], nil
-	}
-	if err == nil {
-		err = io.EOF
-	}
-	var zero T
-	return zero, err
 }

@@ -1,12 +1,13 @@
 // Package policy turns run generation from a single hard-wired algorithm
-// into a pluggable subsystem. It names the four concrete generator
-// strategies the library implements — the paper's two-way replacement
-// selection, classic replacement selection, alternating up/down runs
-// (Bender et al., "Run Generation Revisited") and memory-sized quicksort
-// batches — behind one per-run Generator interface, and adds Auto: an
-// adaptive policy that probes the order structure of a memory-sized input
-// prefix, keeps rolling order statistics while the sort runs, and switches
+// into a pluggable subsystem. It names every run generator the library
+// implements — the paper's two-way replacement selection, classic
+// replacement selection, load-sort-store, alternating up/down runs (Bender
+// et al., "Run Generation Revisited") and memory-sized quicksort batches —
+// behind one per-run Generator interface, and adds Auto: an adaptive
+// policy that probes the order structure of a memory-sized input prefix,
+// keeps rolling order statistics while the sort runs, and switches
 // generators at run boundaries when the input's regime changes mid-stream.
+// New is the one constructor that maps a Kind to its generator.
 //
 // The driver (internal/extsort) selects a policy through Config.Policy;
 // the public API exposes it as repro.WithPolicy, with Auto as the generic
@@ -23,8 +24,8 @@ import (
 type Kind int
 
 const (
-	// None selects no policy: the driver falls back to its legacy
-	// Algorithm field. It is the zero value, so hand-built configurations
+	// None selects no policy: the driver resolves its legacy Algorithm
+	// field instead. It is the zero value, so hand-built configurations
 	// keep their historical meaning.
 	None Kind = iota
 	// TwoWayRS is the paper's two-way replacement selection: a double
@@ -43,19 +44,25 @@ const (
 	// Quick generates memory-sized quicksort batches: the cheapest
 	// generator per element, with run length pinned to exactly M.
 	Quick
-	// Auto probes the input and delegates to one of the four fixed
-	// policies, re-deciding at run boundaries as the stream evolves.
+	// Auto probes the input and delegates to one of the four policies
+	// above, re-deciding at run boundaries as the stream evolves.
 	Auto
+	// LSS is load-sort-store (§2.1.1), the paper's baseline: fill memory,
+	// sort, store. Runs are exactly M long whatever the input. It is
+	// selected through the legacy Algorithm alias only, so it is not among
+	// Kinds and Parse does not accept it.
+	LSS
 )
 
-// kindNames maps each selectable policy to its CLI/config name. None is
-// deliberately absent: it is not a policy, it is the absence of one.
+// kindNames maps each policy to its CLI/config name. None is deliberately
+// absent: it is not a policy, it is the absence of one.
 var kindNames = map[Kind]string{
 	TwoWayRS:    "2wrs",
 	RS:          "rs",
 	Alternating: "alternating",
 	Quick:       "quick",
 	Auto:        "auto",
+	LSS:         "lss",
 }
 
 // Kinds lists the selectable policies in presentation order.
@@ -89,8 +96,8 @@ func Parse(s string) (Kind, error) {
 	if strings.EqualFold(s, "alt") {
 		return Alternating, nil
 	}
-	for k, n := range kindNames {
-		if strings.EqualFold(s, n) {
+	for _, k := range Kinds {
+		if strings.EqualFold(s, k.String()) {
 			return k, nil
 		}
 	}

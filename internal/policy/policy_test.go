@@ -11,18 +11,45 @@ import (
 	"repro/internal/vfs"
 )
 
-func generate(t *testing.T, kind Kind, recs []record.Record, memory int) (Result, vfs.FS) {
+// result is what one generation pass produced: the runs, the policy that
+// made each, the records they hold and Auto's switch count.
+type result struct {
+	Runs     []runio.Run
+	Policies []Kind
+	Records  int64
+	Switches int
+}
+
+func generate(t *testing.T, kind Kind, recs []record.Record, memory int) (result, vfs.FS) {
 	t.Helper()
 	fs := vfs.NewMemFS()
-	res, err := Generate(kind, record.NewSliceReader(recs), runio.RecordEmitter(fs, "pol"), Config{Memory: memory}, record.Key)
+	g, err := New(kind, false, record.NewSliceReader(recs), runio.RecordEmitter(fs, "pol"), Config{Memory: memory}, record.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Records != int64(len(recs)) {
-		t.Fatalf("%v consumed %d records, want %d", kind, res.Records, len(recs))
+	a, adaptive := g.(Adaptive)
+	var res result
+	for {
+		made := kind
+		if adaptive {
+			made = a.Kind()
+		}
+		run, ok, err := g.NextRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		res.Runs = append(res.Runs, run)
+		res.Policies = append(res.Policies, made)
+		res.Records += run.Records
 	}
-	if len(res.Policies) != len(res.Runs) {
-		t.Fatalf("%v: %d runs but %d policy entries", kind, len(res.Runs), len(res.Policies))
+	if adaptive {
+		res.Switches = a.Switches()
+	}
+	if res.Records != int64(len(recs)) {
+		t.Fatalf("%v wrote %d records, want %d", kind, res.Records, len(recs))
 	}
 	return res, fs
 }
@@ -73,7 +100,7 @@ func sawtooth(n, tooth int) []record.Record {
 
 func TestFixedPoliciesAllDistributions(t *testing.T) {
 	const n, m = 20000, 500
-	for _, kind := range []Kind{TwoWayRS, RS, Alternating, Quick} {
+	for _, kind := range []Kind{TwoWayRS, RS, LSS, Alternating, Quick} {
 		for _, dist := range gen.Kinds {
 			recs := gen.Generate(gen.Config{Kind: dist, N: n, Seed: 11, Noise: 1000})
 			res, fs := generate(t, kind, recs, m)
@@ -149,7 +176,7 @@ func TestSawtoothDegeneratesClassicRSOnly(t *testing.T) {
 // TestAutoSwitchesAtRunBoundaryOnRegimeChange feeds an ascending half
 // followed by a descending half: the probe commits to classic RS, the
 // rolling window detects the reversal, and the engine must switch
-// generators at a run boundary — recorded in Result.Policies — without
+// generators at a run boundary — reported by Adaptive.Kind — without
 // losing a record.
 func TestAutoSwitchesAtRunBoundaryOnRegimeChange(t *testing.T) {
 	const n, m = 60000, 1000

@@ -20,62 +20,14 @@ type Reader = stream.Reader[Record]
 type Writer = stream.Writer[Record]
 
 // SliceReader adapts an in-memory slice to the Reader interface.
-type SliceReader struct {
-	recs []Record
-	pos  int
-}
+type SliceReader = stream.SliceReader[Record]
 
 // NewSliceReader returns a Reader over recs. The slice is not copied; the
 // caller must not mutate it while reading.
-func NewSliceReader(recs []Record) *SliceReader {
-	return &SliceReader{recs: recs}
-}
-
-// Read returns the next record or io.EOF.
-func (s *SliceReader) Read() (Record, error) {
-	if s.pos >= len(s.recs) {
-		return Record{}, io.EOF
-	}
-	r := s.recs[s.pos]
-	s.pos++
-	return r, nil
-}
-
-// ReadBatch copies up to len(dst) records into dst.
-func (s *SliceReader) ReadBatch(dst []Record) (int, error) {
-	if s.pos >= len(s.recs) {
-		if len(dst) == 0 {
-			return 0, nil
-		}
-		return 0, io.EOF
-	}
-	n := copy(dst, s.recs[s.pos:])
-	s.pos += n
-	return n, nil
-}
-
-// Remaining reports how many records have not been read yet.
-func (s *SliceReader) Remaining() int { return len(s.recs) - s.pos }
-
-// Reset rewinds the reader to the beginning of the slice.
-func (s *SliceReader) Reset() { s.pos = 0 }
+func NewSliceReader(recs []Record) *SliceReader { return stream.NewSliceReader(recs) }
 
 // SliceWriter collects written records in memory.
-type SliceWriter struct {
-	Recs []Record
-}
-
-// Write appends r.
-func (s *SliceWriter) Write(r Record) error {
-	s.Recs = append(s.Recs, r)
-	return nil
-}
-
-// WriteBatch appends src.
-func (s *SliceWriter) WriteBatch(src []Record) error {
-	s.Recs = append(s.Recs, src...)
-	return nil
-}
+type SliceWriter = stream.SliceWriter[Record]
 
 // ReadAll drains r into a slice. It is intended for tests and examples
 // where the stream is known to fit in memory; sized sources get a

@@ -72,6 +72,57 @@ func (s *SliceReader[T]) Remaining() int { return len(s.vals) - s.pos }
 // Reset rewinds the reader to the beginning of the slice.
 func (s *SliceReader[T]) Reset() { s.pos = 0 }
 
+// Pushback serves a queue of elements ahead of the rest of a stream: the
+// head a sampler already consumed, or the state a run generator carried
+// across a restart or a switch.
+type Pushback[T any] struct {
+	queue []T
+	pos   int
+	tail  BatchReader[T]
+}
+
+// NewPushback returns a reader serving queue, then tail.
+func NewPushback[T any](queue []T, tail BatchReader[T]) *Pushback[T] {
+	return &Pushback[T]{queue: queue, tail: tail}
+}
+
+// Push puts vals in front of the elements still queued.
+func (p *Pushback[T]) Push(vals []T) {
+	p.queue = append(vals, p.queue[p.pos:]...)
+	p.pos = 0
+}
+
+// Unread returns the queued elements not yet served and empties the queue.
+func (p *Pushback[T]) Unread() []T {
+	q := p.queue[p.pos:]
+	p.queue, p.pos = nil, 0
+	return q
+}
+
+// ReadBatch serves the queue first, then the tail.
+func (p *Pushback[T]) ReadBatch(dst []T) (int, error) {
+	if p.pos < len(p.queue) {
+		n := copy(dst, p.queue[p.pos:])
+		p.pos += n
+		return n, nil
+	}
+	p.queue, p.pos = nil, 0
+	return p.tail.ReadBatch(dst)
+}
+
+// Read is the element-protocol fallback.
+func (p *Pushback[T]) Read() (T, error) {
+	var one [1]T
+	n, err := p.ReadBatch(one[:])
+	if n == 1 {
+		return one[0], nil
+	}
+	if err == nil {
+		err = io.EOF
+	}
+	return one[0], err
+}
+
 // SliceWriter collects written elements in memory.
 type SliceWriter[T any] struct {
 	Vals []T

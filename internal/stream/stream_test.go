@@ -52,6 +52,32 @@ func TestSliceReaderEmptyDst(t *testing.T) {
 	}
 }
 
+// TestPushback: the queue is served first (a short batch at its end), then
+// the tail; Push goes ahead of what is still queued, and Unread surrenders
+// the unserved queue without touching the tail.
+func TestPushback(t *testing.T) {
+	p := NewPushback([]int{1, 2, 3}, NewSliceReader([]int{10, 11}))
+	buf := make([]int, 2)
+	if n, err := p.ReadBatch(buf); n != 2 || err != nil || buf[0] != 1 || buf[1] != 2 {
+		t.Fatalf("first batch = %v, %d, %v", buf, n, err)
+	}
+	p.Push([]int{7, 8})
+	if got := p.Unread(); len(got) != 3 || got[0] != 7 || got[1] != 8 || got[2] != 3 {
+		t.Fatalf("Unread = %v, want [7 8 3]", got)
+	}
+	p.Push([]int{5})
+	v, err := p.Read()
+	if v != 5 || err != nil {
+		t.Fatalf("Read = %v, %v, want 5", v, err)
+	}
+	if n, err := p.ReadBatch(buf); n != 2 || err != nil || buf[0] != 10 || buf[1] != 11 {
+		t.Fatalf("tail batch = %v, %d, %v", buf, n, err)
+	}
+	if _, err := p.Read(); err != io.EOF {
+		t.Fatalf("Read at end = %v, want io.EOF", err)
+	}
+}
+
 func TestSliceWriterBatch(t *testing.T) {
 	var w SliceWriter[string]
 	if err := w.Write("a"); err != nil {

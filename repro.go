@@ -163,7 +163,9 @@ var (
 	ErrRunChecksum = manifest.ErrChecksum
 )
 
-// Algorithm selects the run-generation strategy.
+// Algorithm is the legacy way to select a run generator: TwoWayRS, RS and
+// LoadSortStore are aliases for the "2wrs", "rs" and "lss" policies, which
+// the sort resolves them to when Config.Policy is empty.
 type Algorithm = extsort.Algorithm
 
 // Run generation algorithms.
@@ -214,8 +216,9 @@ const (
 // Config controls a sort. The zero value is not valid; start from
 // DefaultConfig or build a Sorter through New with options.
 type Config struct {
-	// Algorithm is the run-generation strategy (default TwoWayRS). It is
-	// consulted only while Policy is empty.
+	// Algorithm is the legacy alias for the run generator (default
+	// TwoWayRS). It is consulted only while Policy is empty, and then
+	// resolves to the policy of the same name.
 	Algorithm Algorithm
 	// Policy, when non-empty, selects run generation through the adaptive
 	// policy engine instead of Algorithm. Valid names are listed by

@@ -169,11 +169,13 @@ func WithConfig(cfg Config) Option {
 	return func(s *sorterConfig) error { s.cfg = cfg; return nil }
 }
 
-// WithAlgorithm pins the run-generation strategy to one fixed legacy
-// algorithm (TwoWayRS, RS or LoadSortStore), clearing any policy so the
-// chosen algorithm really runs. Most callers are better served by
-// WithPolicy, which also offers the alternating generator and the adaptive
-// "auto" policy (New's default).
+// WithAlgorithm pins run generation to one of the paper's algorithms —
+// TwoWayRS, RS or LoadSortStore — and clears any policy so the chosen one
+// really runs. It is a thin alias: the sort resolves the algorithm to the
+// "2wrs", "rs" or "lss" policy and runs the same generator WithPolicy
+// would. Most callers are better served by WithPolicy, which also offers
+// the alternating and quick generators and the adaptive "auto" policy
+// (New's default).
 func WithAlgorithm(a Algorithm) Option {
 	return func(s *sorterConfig) error { s.cfg.Algorithm, s.cfg.Policy = a, ""; return nil }
 }
